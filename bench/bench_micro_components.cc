@@ -1,8 +1,9 @@
 // Component microbenchmarks (google-benchmark): the building blocks whose
 // calibrated costs drive the simulator — fingerprint hashing, rolling
 // hash, chunking (fixed vs CDC — the Section 5 trade-off), LZ codec,
-// Reed-Solomon, CRUSH selection, bloom filters, chunk-map codec — plus a
-// double-hashing-vs-fingerprint-index lookup comparison.
+// Reed-Solomon, CRUSH selection, OsdMap acting-set lookup, bloom filters,
+// chunk-map codec — plus a double-hashing-vs-fingerprint-index lookup
+// comparison.
 //
 // Extra modes (bypass google-benchmark):
 //   --pipeline_json=PATH  run the content-pipeline suite (live vs frozen
@@ -19,6 +20,7 @@
 
 #include "bench_util.h"
 #include "cluster/crush.h"
+#include "cluster/osd_map.h"
 #include "common/bloom_filter.h"
 #include "common/buffer.h"
 #include "common/crc32.h"
@@ -166,6 +168,34 @@ void BM_CrushSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrushSelect)->Arg(16)->Arg(64)->Arg(256);
+
+// What every client op, chunk put, deref and replica write pays for
+// placement: OsdMap::acting on a chunk-style OID (fingerprint hex), on the
+// paper's 4x4 testbed with a 128-PG metadata pool and a 128-PG chunk pool.
+void BM_OsdMapActing(benchmark::State& state) {
+  OsdMap m;
+  for (int i = 0; i < 16; i++) m.add_osd(i, i / 4);
+  PoolId pools[2];
+  for (int p = 0; p < 2; p++) {
+    PoolConfig cfg;
+    cfg.name = p == 0 ? "meta" : "chunks";
+    cfg.pg_num = 128;
+    pools[p] = m.create_pool(cfg);
+  }
+  std::vector<std::string> oids;
+  Rng rng(5);
+  for (int i = 0; i < 1024; i++) {
+    Buffer b(64);
+    rng.fill(b.mutable_data(), b.size());
+    oids.push_back(Fingerprint::compute(FingerprintAlgo::kSha256, b.span()).hex());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.acting(pools[i & 1], oids[i & 1023]));
+    i++;
+  }
+}
+BENCHMARK(BM_OsdMapActing);
 
 void BM_BloomInsertQuery(benchmark::State& state) {
   BloomFilter bf(100000, 0.01);

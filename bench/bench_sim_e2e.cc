@@ -4,10 +4,10 @@
 // sim_e2e_scenario.h on the paper's 4x4-OSD testbed shape and reports how
 // many *simulated* megabytes of client traffic the simulator pushes per
 // *wall-clock* second, plus scheduler events/sec and the determinism
-// digest.  The frozen kReference* constants are the serial
-// (--exec-threads=1) baseline of this same scenario on the bench host;
-// BENCH_SIM.json records current / reference / speedup so the bench
-// trajectory has end-to-end points, not just microbenchmarks.
+// digest.  Wall-clock figures are printed with the host they were measured
+// on (nproc, CPU model, build type): they compare only against runs of the
+// same host and build, so the bench carries no throughput reference of its
+// own.  The digest is the one frozen reference, and it gates the run.
 //
 // Modes:
 //   --json=PATH       write the BENCH_SIM.json trajectory point to PATH
@@ -18,28 +18,48 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "sim_e2e_scenario.h"
 
 namespace gdedup::bench {
 namespace {
 
-// Frozen serial reference (Release build, --exec-threads=1, this exact
-// scenario): the digest is the virtual-time fingerprint of the serial
-// run, and every thread count must reproduce it exactly — that equality
-// is the whole point of the exec-pool design (test_exec_pool enforces it
-// at smoke scale; this check enforces it at full scale).  The throughput
-// numbers are the serial baseline on the bench host; speedup > 1 needs
-// more than one physical core, which this host does not have.
-// The throughput references are the *pre-sharded-engine* serial baseline
-// (heap scheduler, eager rx reservation), kept so speedup_vs_reference
-// tracks the engine swap; the digest is re-frozen for the sharded engine
-// (receiver-sequenced rx + global control lane — see
+// Frozen serial reference (--exec-threads=1, this exact scenario): the
+// digest is the virtual-time fingerprint of the serial run, and every
+// thread count must reproduce it exactly — that equality is the whole
+// point of the exec-pool design (test_exec_pool enforces it at smoke
+// scale; this check enforces it at full scale).  Re-frozen once for the
+// sharded engine (receiver-sequenced rx + global control lane — see
 // tests/test_sim_determinism.cc for the behaviour-change rationale).
-constexpr double kReferenceSimMbPerWallSec = 215.0;
-constexpr double kReferenceEventsPerWallSec = 0.195e6;
 constexpr const char* kReferenceDigest = "fc0493f7";
+
+#ifndef BENCH_BUILD_TYPE
+#define BENCH_BUILD_TYPE "unknown"
+#endif
+
+// What the wall-clock figures were measured on.
+struct HostStamp {
+  unsigned nproc = std::thread::hardware_concurrency();
+  std::string cpu = "unknown";
+  std::string build_type = BENCH_BUILD_TYPE;
+};
+
+HostStamp host_stamp() {
+  HostStamp h;
+  std::ifstream f("/proc/cpuinfo");
+  for (std::string line; std::getline(f, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      h.cpu = line.substr(colon + 2);
+    }
+    break;
+  }
+  return h;
+}
 
 SimE2eConfig smoke_config() {
   SimE2eConfig cfg;
@@ -149,19 +169,19 @@ int run_full(const std::string& json_path, int exec_threads) {
   const double sim_mb = static_cast<double>(r.sim_bytes) / 1e6;
   const double mb_per_wall_sec = sim_mb / wall;
   const double events_per_sec = static_cast<double>(r.events) / wall;
-  const double speedup = mb_per_wall_sec / kReferenceSimMbPerWallSec;
+  const HostStamp host = host_stamp();
 
   std::printf("\nscenario: %d nodes x %d OSDs, %.0f MB image, %zu+%zu random ops\n",
               cfg.storage_nodes, cfg.osds_per_node,
               static_cast<double>(cfg.image_bytes) / 1e6, cfg.random_writes,
               cfg.random_reads);
+  std::printf("  host                 : nproc=%u cpu='%s' build=%s\n",
+              host.nproc, host.cpu.c_str(), host.build_type.c_str());
   std::printf("  wall time            : %8.2f s\n", wall);
   std::printf("  simulated traffic    : %8.1f MB (%llu client ops)\n", sim_mb,
               static_cast<unsigned long long>(r.ops));
-  std::printf("  sim MB / wall second : %8.1f  (reference %.1f, speedup %.2fx)\n",
-              mb_per_wall_sec, kReferenceSimMbPerWallSec, speedup);
-  std::printf("  events / wall second : %8.3gM (reference %.3gM)\n",
-              events_per_sec / 1e6, kReferenceEventsPerWallSec / 1e6);
+  std::printf("  sim MB / wall second : %8.1f\n", mb_per_wall_sec);
+  std::printf("  events / wall second : %8.3gM\n", events_per_sec / 1e6);
   std::printf("  virtual duration     : %8.2f s (%llu events)\n",
               static_cast<double>(r.sim_duration) / kSecond,
               static_cast<unsigned long long>(r.events));
@@ -228,11 +248,11 @@ int run_full(const std::string& json_path, int exec_threads) {
     JsonWriter jw;
     jw.add("bench", std::string("sim_e2e"));
     jw.add("scenario", std::string("4x4osd_write_flush_read"));
+    jw.add("nproc", static_cast<double>(host.nproc));
+    jw.add("cpu_model", host.cpu);
+    jw.add("build_type", host.build_type);
     jw.add("sim_mb_per_wall_sec", mb_per_wall_sec);
-    jw.add("reference_sim_mb_per_wall_sec", kReferenceSimMbPerWallSec);
-    jw.add("speedup_vs_reference", speedup);
     jw.add("events_per_wall_sec", events_per_sec);
-    jw.add("reference_events_per_wall_sec", kReferenceEventsPerWallSec);
     jw.add("wall_seconds", wall);
     jw.add("simulated_mb", sim_mb);
     jw.add("client_ops", static_cast<double>(r.ops));
@@ -286,7 +306,7 @@ int run_full(const std::string& json_path, int exec_threads) {
   if (!digest_ok) {
     std::fprintf(stderr,
                  "FATAL: determinism digest drifted from the frozen "
-                 "reference — the speedup is not bit-identical\n");
+                 "reference — a host-side change moved virtual time\n");
     return 1;
   }
   if (!heavy_digest_ok) {

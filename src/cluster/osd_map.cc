@@ -1,15 +1,24 @@
 #include "cluster/osd_map.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/random.h"
 
 namespace gdedup {
 
+ActingSet::ActingSet(const std::vector<OsdId>& osds) {
+  assert(osds.size() <= static_cast<size_t>(kCapacity));
+  n_ = static_cast<uint32_t>(osds.size());
+  std::copy(osds.begin(), osds.end(), osds_.begin());
+}
+
 void OsdMap::add_osd(OsdId id, HostId host, double weight) {
   crush_.add_device(id, host, weight);
   up_[id] = true;
   epoch_++;
+  rebuild_placement();
 }
 
 void OsdMap::mark_down(OsdId id) {
@@ -17,6 +26,7 @@ void OsdMap::mark_down(OsdId id) {
   if (up_[id]) {
     up_[id] = false;
     epoch_++;
+    rebuild_placement();
   }
 }
 
@@ -25,6 +35,7 @@ void OsdMap::mark_up(OsdId id) {
   if (!up_[id]) {
     up_[id] = true;
     epoch_++;
+    rebuild_placement();
   }
 }
 
@@ -43,9 +54,15 @@ std::vector<OsdId> OsdMap::up_osds() const {
 
 PoolId OsdMap::create_pool(PoolConfig cfg) {
   assert(cfg.pg_num > 0);
+  if (cfg.size() > ActingSet::kCapacity) {
+    std::fprintf(stderr, "pool %s: size %d exceeds %d\n", cfg.name.c_str(),
+                 cfg.size(), ActingSet::kCapacity);
+    std::abort();
+  }
   const PoolId id = next_pool_++;
   pools_[id] = std::move(cfg);
   epoch_++;
+  rebuild_placement();
   return id;
 }
 
@@ -55,11 +72,11 @@ const PoolConfig& OsdMap::pool(PoolId id) const {
   return it->second;
 }
 
-PoolConfig& OsdMap::mutable_pool(PoolId id) {
+void OsdMap::set_dedup(PoolId id, const DedupTierConfig& dedup) {
   auto it = pools_.find(id);
   assert(it != pools_.end());
+  it->second.dedup = dedup;
   epoch_++;
-  return it->second;
 }
 
 std::optional<PoolId> OsdMap::pool_by_name(const std::string& name) const {
@@ -76,26 +93,30 @@ std::vector<PoolId> OsdMap::pool_ids() const {
   return out;
 }
 
-uint32_t OsdMap::pg_of(PoolId pool, const std::string& oid) const {
-  const PoolConfig& cfg = this->pool(pool);
-  return static_cast<uint32_t>(fnv1a(oid) % cfg.pg_num);
-}
-
-uint64_t OsdMap::placement_seed(PoolId pool, uint32_t pg) const {
+uint64_t OsdMap::placement_seed(PoolId pool, uint32_t pg) {
   return mix64((static_cast<uint64_t>(pool) << 32) | pg);
 }
 
-std::vector<OsdId> OsdMap::acting_for_pg(PoolId pool, uint32_t pg) const {
-  const PoolConfig& cfg = this->pool(pool);
+void OsdMap::rebuild_placement() {
+  // Lookups read the table without a lock, so a rebuild while shard
+  // workers run would race them; see the header comment.  Checked in
+  // every build type: rebuilds are rare and the check is one load.
+  if (sim_parallel_phase()) {
+    std::fprintf(stderr, "osdmap: map changed inside a parallel window\n");
+    std::abort();
+  }
   std::vector<OsdId> down;
   for (const auto& [id, up] : up_) {
     if (!up) down.push_back(id);
   }
-  return crush_.select(placement_seed(pool, pg), cfg.size(), down);
-}
-
-std::vector<OsdId> OsdMap::acting(PoolId pool, const std::string& oid) const {
-  return acting_for_pg(pool, pg_of(pool, oid));
+  placement_.assign(static_cast<size_t>(next_pool_), {});
+  for (const auto& [id, cfg] : pools_) {
+    std::vector<ActingSet>& t = placement_[static_cast<size_t>(id)];
+    t.reserve(cfg.pg_num);
+    for (uint32_t pg = 0; pg < cfg.pg_num; pg++) {
+      t.emplace_back(crush_.select(placement_seed(id, pg), cfg.size(), down));
+    }
+  }
 }
 
 }  // namespace gdedup

@@ -7,7 +7,17 @@
 // there is no metadata server.  Pool configuration carries the dedup tier
 // parameters the same way Ceph's OSDMap carries cache-tier settings —
 // that's what lets the dedup design ship without new cluster-wide state.
+//
+// Because placement is a pure function of the map, the map evaluates it
+// once per epoch: every mutation that can move data (OSD added, marked
+// down or up, pool created) rebuilds a per-pool pg -> acting set table
+// from CrushMap::select, and lookups are fnv1a(oid) % pg_num plus one
+// index.  Mutations happen only while no parallel shard window runs
+// (DESIGN.md §15), so the table needs no lock.
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -117,6 +127,34 @@ struct PoolConfig {
   }
 };
 
+// Ordered acting set (primary first), held inline: a lookup copies it out
+// of the placement table without allocating, and the copy stays valid
+// across later map changes.
+class ActingSet {
+ public:
+  static constexpr int kCapacity = 16;  // widest pool create_pool accepts
+  using value_type = OsdId;
+  using iterator = const OsdId*;
+  using const_iterator = const OsdId*;
+
+  ActingSet() = default;
+  explicit ActingSet(const std::vector<OsdId>& osds);
+
+  size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  OsdId operator[](size_t i) const { return osds_[i]; }
+  const OsdId* begin() const { return osds_.data(); }
+  const OsdId* end() const { return osds_.data() + n_; }
+
+  bool operator==(const ActingSet& o) const {
+    return std::equal(begin(), end(), o.begin(), o.end());
+  }
+
+ private:
+  std::array<OsdId, kCapacity> osds_{};
+  uint32_t n_ = 0;
+};
+
 class OsdMap {
  public:
   uint64_t epoch() const { return epoch_; }
@@ -130,38 +168,55 @@ class OsdMap {
   std::vector<OsdId> up_osds() const;
   int num_osds() const { return crush_.num_devices(); }
 
-  CrushMap& crush() { return crush_; }
   const CrushMap& crush() const { return crush_; }
 
   // --- pools ---
   PoolId create_pool(PoolConfig cfg);
   bool has_pool(PoolId id) const { return pools_.count(id) > 0; }
   const PoolConfig& pool(PoolId id) const;
-  PoolConfig& mutable_pool(PoolId id);
+  // Dedup tier parameters are the only pool setting that changes after
+  // creation; they do not feed placement, so the table stays as it is.
+  void set_dedup(PoolId id, const DedupTierConfig& dedup);
   std::optional<PoolId> pool_by_name(const std::string& name) const;
   std::vector<PoolId> pool_ids() const;
 
   // --- placement ---
-  uint32_t pg_of(PoolId pool, const std::string& oid) const;
+  uint32_t pg_of(PoolId pool, const std::string& oid) const {
+    return static_cast<uint32_t>(fnv1a(oid) % table(pool).size());
+  }
 
   // Ordered acting set for an object (primary first).  Down OSDs are
   // excluded, so the set reflects post-failure placement.
-  std::vector<OsdId> acting(PoolId pool, const std::string& oid) const;
-  std::vector<OsdId> acting_for_pg(PoolId pool, uint32_t pg) const;
+  ActingSet acting(PoolId pool, const std::string& oid) const {
+    return table(pool)[pg_of(pool, oid)];
+  }
+  ActingSet acting_for_pg(PoolId pool, uint32_t pg) const {
+    assert(pg < table(pool).size());
+    return table(pool)[pg];
+  }
 
   OsdId primary(PoolId pool, const std::string& oid) const {
-    auto a = acting(pool, oid);
+    const ActingSet& a = table(pool)[pg_of(pool, oid)];
     return a.empty() ? -1 : a[0];
   }
 
  private:
-  uint64_t placement_seed(PoolId pool, uint32_t pg) const;
+  static uint64_t placement_seed(PoolId pool, uint32_t pg);
+  const std::vector<ActingSet>& table(PoolId pool) const {
+    assert(pool >= 0 && static_cast<size_t>(pool) < placement_.size());
+    return placement_[static_cast<size_t>(pool)];
+  }
+  // Re-evaluates CrushMap::select for every (pool, pg) of the new epoch.
+  void rebuild_placement();
 
   uint64_t epoch_ = 1;
   CrushMap crush_;
   std::map<OsdId, bool> up_;
   std::map<PoolId, PoolConfig> pools_;
   PoolId next_pool_ = 0;
+  // placement_[pool][pg]: the acting set of that PG at this epoch.  Pool
+  // ids are dense from 0, so the outer index is the PoolId.
+  std::vector<std::vector<ActingSet>> placement_;
 };
 
 }  // namespace gdedup

@@ -1,7 +1,9 @@
 #include "dedup/chunk_map.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <iterator>
 
 #include "common/encoding.h"
 #include "hash/fingerprint.h"
@@ -46,9 +48,18 @@ ChunkMapEntry* ChunkMap::find(uint64_t offset) {
 }
 
 ChunkMapEntry& ChunkMap::obtain(uint64_t offset, uint32_t length) {
-  ChunkMapEntry& e = entries_[offset];
+  auto it = entries_.try_emplace(offset).first;
+  ChunkMapEntry& e = it->second;
   e.offset = offset;
   e.length = std::max(e.length, length);
+  // logical_end() reads only the last entry, which is right only while
+  // entries stay disjoint.  Growing an entry is the one way to break that
+  // (erasing never can), so check both neighbours here.
+  assert(it == entries_.begin() ||
+         std::prev(it)->second.offset + std::prev(it)->second.length <=
+             offset);
+  assert(std::next(it) == entries_.end() ||
+         offset + e.length <= std::next(it)->first);
   return e;
 }
 
@@ -62,11 +73,11 @@ bool ChunkMap::any_dirty() const {
 }
 
 uint64_t ChunkMap::logical_end() const {
-  uint64_t end = 0;
-  for (const auto& [off, e] : entries_) {
-    end = std::max(end, e.offset + e.length);
-  }
-  return end;
+  // Entries are keyed by offset and disjoint (see obtain), so the last
+  // one ends furthest.
+  if (entries_.empty()) return 0;
+  const ChunkMapEntry& last = entries_.rbegin()->second;
+  return last.offset + last.length;
 }
 
 Buffer ChunkMap::encode() const {

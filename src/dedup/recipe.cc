@@ -63,7 +63,8 @@ std::vector<const ObjectStore*> candidate_stores(ClusterContext* ctx,
                                                  PoolId pool,
                                                  const std::string& oid) {
   std::vector<const ObjectStore*> out;
-  std::vector<OsdId> order = ctx->osdmap().acting(pool, oid);
+  const ActingSet acting = ctx->osdmap().acting(pool, oid);
+  std::vector<OsdId> order(acting.begin(), acting.end());
   for (OsdId id : ctx->osdmap().all_osds()) {
     if (std::find(order.begin(), order.end(), id) == order.end()) {
       order.push_back(id);

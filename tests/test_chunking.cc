@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/encoding.h"
@@ -393,6 +394,46 @@ TEST(ChunkMap, EraseEntry) {
   EXPECT_TRUE(cm.erase(0));
   EXPECT_FALSE(cm.erase(0));
   EXPECT_EQ(cm.size(), 1u);
+}
+
+TEST(ChunkMap, LogicalEndMatchesFullScan) {
+  // logical_end() reads only the last entry.  Drive the map the way the
+  // tier does (chunk-aligned slots that grow, shrink on write_full, and
+  // get erased) and compare against the max over every entry.
+  constexpr uint32_t kCs = 32 * 1024;
+  auto scan = [](const ChunkMap& cm) {
+    uint64_t end = 0;
+    for (const auto& [off, e] : cm.entries()) {
+      end = std::max(end, e.offset + e.length);
+    }
+    return end;
+  };
+  Rng rng(17);
+  for (int round = 0; round < 50; round++) {
+    ChunkMap cm;
+    for (int step = 0; step < 400; step++) {
+      const uint64_t slot = rng.below(64) * kCs;
+      const uint32_t len = static_cast<uint32_t>(rng.between(1, kCs));
+      switch (rng.below(4)) {
+        case 0:
+        case 1:
+          cm.obtain(slot, len);
+          break;
+        case 2:
+          cm.obtain(slot, len).length = len;  // shrink, as write_full does
+          break;
+        default:
+          cm.erase(slot);
+          break;
+      }
+      ASSERT_EQ(cm.logical_end(), scan(cm)) << "round " << round
+                                            << " step " << step;
+    }
+    auto decoded = ChunkMap::decode(cm.encode());
+    ASSERT_TRUE(decoded.is_ok());
+    EXPECT_EQ(decoded->logical_end(), scan(cm));
+  }
+  EXPECT_EQ(ChunkMap().logical_end(), 0u);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "cluster/osd_map.h"
 #include "common/random.h"
@@ -256,6 +258,119 @@ TEST(OsdMap, UpOsdsTracksState) {
   EXPECT_EQ(m.up_osds().size(), 14u);
   EXPECT_FALSE(m.is_up(1));
   EXPECT_TRUE(m.is_up(0));
+}
+
+// ------------------------------------------------------ placement table
+
+// Every (pool, pg) the map serves must equal a fresh CrushMap::select for
+// the map as it now stands: the table is a cache of the pure placement
+// function, never a second one.
+void expect_table_matches_crush(const OsdMap& m) {
+  std::vector<OsdId> down;
+  for (OsdId id : m.all_osds()) {
+    if (!m.is_up(id)) down.push_back(id);
+  }
+  for (PoolId p : m.pool_ids()) {
+    const PoolConfig& cfg = m.pool(p);
+    for (uint32_t pg = 0; pg < cfg.pg_num; pg++) {
+      const uint64_t seed = mix64((static_cast<uint64_t>(p) << 32) | pg);
+      const std::vector<OsdId> fresh =
+          m.crush().select(seed, cfg.size(), down);
+      const ActingSet served = m.acting_for_pg(p, pg);
+      ASSERT_EQ(std::vector<OsdId>(served.begin(), served.end()), fresh)
+          << "pool " << p << " pg " << pg;
+    }
+  }
+}
+
+TEST(OsdMap, PlacementTableTracksEveryMutation) {
+  OsdMap m = paper_osdmap();
+  PoolConfig rep;
+  rep.name = "rep";
+  rep.pg_num = 64;
+  PoolConfig ec;
+  ec.name = "ec";
+  ec.scheme = RedundancyScheme::kErasure;
+  ec.ec_k = 2;
+  ec.ec_m = 2;
+  ec.pg_num = 32;
+
+  const PoolId pr = m.create_pool(rep);
+  expect_table_matches_crush(m);
+  const PoolId pe = m.create_pool(ec);
+  expect_table_matches_crush(m);
+
+  m.add_osd(16, 1, 2.0);  // heavier device on an existing host
+  expect_table_matches_crush(m);
+  m.add_osd(17, 4);  // new host
+  expect_table_matches_crush(m);
+
+  m.mark_down(5);
+  expect_table_matches_crush(m);
+  m.mark_down(17);
+  m.mark_down(12);
+  expect_table_matches_crush(m);
+  m.mark_up(5);
+  expect_table_matches_crush(m);
+
+  DedupTierConfig dc;
+  dc.mode = DedupMode::kPostProcess;
+  dc.chunk_pool = pe;
+  const uint64_t before = m.epoch();
+  m.set_dedup(pr, dc);
+  EXPECT_GT(m.epoch(), before);
+  EXPECT_EQ(m.pool(pr).dedup.chunk_pool, pe);
+  expect_table_matches_crush(m);
+
+  // Every object lookup is the table row of its PG.
+  for (int i = 0; i < 200; i++) {
+    const std::string oid = "sha256:" + std::to_string(i * 7919);
+    for (PoolId p : {pr, pe}) {
+      const ActingSet a = m.acting(p, oid);
+      EXPECT_EQ(a, m.acting_for_pg(p, m.pg_of(p, oid)));
+      EXPECT_EQ(m.primary(p, oid), a.empty() ? -1 : a[0]);
+    }
+  }
+}
+
+TEST(OsdMap, CopiedAndMovedMapsServeTheSameSets) {
+  OsdMap m = paper_osdmap();
+  PoolConfig cfg;
+  cfg.name = "p";
+  const PoolId p = m.create_pool(cfg);
+  m.mark_down(2);
+
+  OsdMap copy = m;
+  OsdMap moved_from = m;
+  OsdMap moved = std::move(moved_from);
+  for (uint32_t pg = 0; pg < cfg.pg_num; pg++) {
+    EXPECT_EQ(copy.acting_for_pg(p, pg), m.acting_for_pg(p, pg));
+    EXPECT_EQ(moved.acting_for_pg(p, pg), m.acting_for_pg(p, pg));
+  }
+  // The copy is independent: changing it leaves the original's table be.
+  copy.mark_up(2);
+  copy.mark_down(0);
+  expect_table_matches_crush(copy);
+  expect_table_matches_crush(m);
+}
+
+TEST(OsdMap, ActingSetOutlivesMapChange) {
+  // A caller may still be walking an acting set when a handler changes
+  // the map (an OSD crashing itself marks itself down).  What it holds
+  // must stay readable and unchanged.
+  OsdMap m = paper_osdmap();
+  PoolConfig cfg;
+  cfg.name = "p";
+  const PoolId p = m.create_pool(cfg);
+  const ActingSet held = m.acting(p, "obj");
+  const std::vector<OsdId> snapshot(held.begin(), held.end());
+  ASSERT_EQ(snapshot.size(), 2u);
+
+  m.mark_down(held[0]);
+  EXPECT_EQ(std::vector<OsdId>(held.begin(), held.end()), snapshot);
+  const ActingSet now = m.acting(p, "obj");
+  EXPECT_EQ(std::find(now.begin(), now.end(), held[0]), now.end());
+  EXPECT_NE(now, held);
 }
 
 }  // namespace

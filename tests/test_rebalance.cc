@@ -55,7 +55,7 @@ TEST(Rebalance, MovementIsProportional) {
   // 1/17 of placements, not a reshuffle.
   Cluster c;
   const PoolId pool = c.create_replicated_pool("p", 2, /*pg_num=*/512);
-  std::map<uint32_t, std::vector<OsdId>> before;
+  std::map<uint32_t, ActingSet> before;
   for (uint32_t pg = 0; pg < 512; pg++) {
     before[pg] = c.osdmap().acting_for_pg(pool, pg);
   }
