@@ -9,8 +9,7 @@
 //      the pre-fast-path write path) vs weak-first (probe the
 //      FingerprintIndex, full SHA only on miss/collision) over zipf-
 //      distributed duplicate streams — hit rate and SHA avoidance as a
-//      function of workload skew;
-//   4. Kernel::kWeakHash offload through the exec pool.
+//      function of workload skew.
 //
 // Modes:
 //   --json=PATH  write the BENCH_FP.json trajectory point to PATH
@@ -27,7 +26,6 @@
 #include "dedup/fingerprint_index.h"
 #include "hash/fingerprint.h"
 #include "hash/weak_hash.h"
-#include "sim/exec_pool.h"
 #include "workload/content.h"
 
 namespace gdedup::bench {
@@ -234,27 +232,6 @@ int run(const std::string& json_path, bool smoke) {
   // the near-uniform stream must avoid re-hashing seen chunks.
   t.check(points.front().sha_avoided_ratio > 0.5,
           "near-uniform stream should still dedup against a warm index");
-
-  // 4. Weak-hash kernel offload through the exec pool.
-  {
-    ExecPool pool(ExecPool::env_threads());
-    std::vector<KernelFuture<uint64_t>> futs;
-    futs.reserve(blocks.size());
-    WallTimer wt;
-    for (const Buffer& b : blocks) {
-      futs.push_back(kernel_async<uint64_t>(
-          &pool, Kernel::kWeakHash,
-          [&b] { return weak_hash64(b.data(), b.size()); }));
-    }
-    uint64_t agg = 0;
-    for (size_t i = 0; i < futs.size(); i++) agg ^= futs[i].take();
-    const double sec = wt.elapsed_sec();
-    uint64_t expect = 0;
-    for (const Buffer& b : blocks) expect ^= weak_hash64(b.data(), b.size());
-    t.check(agg == expect, "offloaded weak hashes disagree with inline");
-    std::printf("\nexec-pool kWeakHash offload: %zu jobs, %d threads, "
-                "%.2f ms\n", blocks.size(), pool.threads(), sec * 1e3);
-  }
 
   if (!json_path.empty()) {
     JsonWriter jw;

@@ -16,8 +16,8 @@
 // plus the packed-codec footprint assertions (satellite of the 150-byte
 // paper format: a flushed sha256 entry must pack to <= 48 bytes, an
 // id-less dirty record to <= 8 + key) and, in --smoke, a frozen recipe-
-// mode digest: the recipe write path is deterministic at any shard or
-// thread count, so this digest only moves when the feature itself does.
+// mode digest: the recipe write path is deterministic at any shard
+// count, so this digest only moves when the feature itself does.
 
 #include <algorithm>
 #include <cstdio>
@@ -152,12 +152,11 @@ MetaResult run_meta(const MetaConfig& mc, bool print_summary) {
   digest_final_state(c, meta, chunks, &dig);
   res.digest = dig.hex();
 
-  const DedupTierStats s = c.tier_stats(meta);
-  res.meta_bytes_actual = s.meta_bytes_actual;
-  res.meta_bytes_baseline = s.meta_bytes_baseline;
-  res.meta_txns = s.meta_txns;
-  res.recipe_chunks = s.recipe_chunks;
-  res.recipe_hits = s.recipe_hits;
+  res.meta_bytes_actual = c.counter_sum(l_tier_meta_bytes_actual, meta);
+  res.meta_bytes_baseline = c.counter_sum(l_tier_meta_bytes_baseline, meta);
+  res.meta_txns = c.counter_sum(l_tier_meta_txns, meta);
+  res.recipe_chunks = c.counter_sum(l_tier_recipe_chunks, meta);
+  res.recipe_hits = c.counter_sum(l_tier_recipe_hits, meta);
   res.omap_bytes = c.pool_stats(meta).omap_bytes;
   if (print_summary) print_obs_summary(c);
   return res;

@@ -410,31 +410,26 @@ int run_pipeline_suite(const std::string& json_path, bool smoke) {
     j.add("fp_cache_hit_rate", hit_rate);
   }
 
-  // --- sim-e2e smoke digest: any exec-thread count must reproduce the
-  //     frozen serial reference bit-for-bit ---
+  // --- sim-e2e smoke digest: must reproduce the frozen reference
+  //     bit-for-bit ---
   {
     bench::SimE2eConfig cfg;
     cfg.image_bytes = 4ull << 20;
     cfg.preload_block = 64 * 1024;
     cfg.random_writes = 128;
     cfg.random_reads = 128;
-    cfg.exec_threads = 0;  // ambient GDEDUP_EXEC_THREADS (default 1)
     const bench::SimE2eResult r = bench::run_sim_e2e(cfg);
-    // Frozen from the serial (1-worker) run of this exact smoke scenario.
-    // Re-frozen for the sharded event engine (receiver-sequenced rx +
-    // global control lane; see tests/test_sim_determinism.cc).
-    constexpr const char* kSerialSmokeDigest = "8a3248c7";
-    if (r.digest != kSerialSmokeDigest) {
+    // Frozen from this exact smoke scenario.  Re-frozen for the sharded
+    // event engine (receiver-sequenced rx + global control lane; see
+    // tests/test_sim_determinism.cc).
+    constexpr const char* kSmokeDigest = "8a3248c7";
+    if (r.digest != kSmokeDigest) {
       std::fprintf(stderr,
-                   "FATAL: sim-e2e smoke digest %s != frozen serial "
-                   "reference %s (exec_threads=%d)\n",
-                   r.digest.c_str(), kSerialSmokeDigest, r.exec_threads_used);
+                   "FATAL: sim-e2e smoke digest %s != frozen reference %s\n",
+                   r.digest.c_str(), kSmokeDigest);
       return 1;
     }
     j.add("sim_e2e_smoke_digest", r.digest);
-    j.add("sim_e2e_exec_threads", static_cast<double>(r.exec_threads_used));
-    j.add("sim_e2e_kernel_jobs_offloaded",
-          static_cast<double>(r.kernel_jobs_offloaded));
   }
 
   j.add("wall_sec", total.elapsed_sec());

@@ -13,7 +13,7 @@
 //
 // plus a determinism check: the forward-assembly read cache is host-side
 // only, so the digest (per-op latencies + final counters) must be
-// byte-identical with GDEDUP_RESTORE_ASSEMBLY on and off.  Rewrite mode
+// byte-identical with the assembly cache on and off.  Rewrite mode
 // intentionally changes placement and carries its own digest, printed
 // here and frozen in tests/test_restore.cc.
 
@@ -31,7 +31,7 @@ namespace {
 struct RestoreConfig {
   double dedupe = 0.0;
   bool rewrite = false;
-  int assembly = -1;  // ClusterConfig.restore_assembly: -1 env, 0 off, 1 on
+  bool assembly = true;  // off: Cluster::set_fast_paths_for_test
   uint64_t image_bytes = 64ull << 20;
 };
 
@@ -53,12 +53,12 @@ RestoreResult run_restore(const RestoreConfig& rc, bool print_summary) {
   cc.storage_nodes = 3;
   cc.osds_per_node = 2;
   cc.client_nodes = 1;
-  cc.restore_assembly = rc.assembly;
   // 25GbE fabric: restore locality is a *disk* phenomenon — the sweep
   // must not hide chunk-pool seek amplification behind a saturated client
   // NIC (10GbE caps at ~1.2 GB/s, right where the rewritten curve sits).
   cc.net.nic_bw_bytes_per_sec = 25.0 * 1000 * 1000 * 1000 / 8;
   Cluster c(cc);
+  c.set_fast_paths_for_test(/*fp_fastpath=*/true, rc.assembly);
 
   const PoolId base = c.create_replicated_pool("base", 2);
   const PoolId chunks = c.create_replicated_pool("chunks", 2);
@@ -102,7 +102,9 @@ RestoreResult run_restore(const RestoreConfig& rc, bool print_summary) {
     const auto sc = c.pool_stats(chunks);
     res.physical_bytes = sb.physical_bytes + sc.physical_bytes;
   }
-  const DedupTierStats before = c.tier_stats(base);
+  const uint64_t bytes0 = c.counter_sum(l_tier_read_logical_bytes, base);
+  const uint64_t objs0 = c.counter_sum(l_tier_read_chunk_objects, base);
+  const uint64_t rpcs0 = c.counter_sum(l_tier_read_chunk_rpcs, base);
 
   // Phase 3: cold sequential restore, 256 KiB reads.  Deep enough queue
   // to be capacity-bound — fragmentation shows up as burned device time
@@ -124,40 +126,20 @@ RestoreResult run_restore(const RestoreConfig& rc, bool print_summary) {
   digest_final_state(c, base, chunks, &dig);
   res.digest = dig.hex();
 
-  const DedupTierStats after = c.tier_stats(base);
-  const uint64_t bytes = after.read_logical_bytes - before.read_logical_bytes;
-  const uint64_t objs = after.read_chunk_objects - before.read_chunk_objects;
+  const uint64_t bytes =
+      c.counter_sum(l_tier_read_logical_bytes, base) - bytes0;
+  const uint64_t objs = c.counter_sum(l_tier_read_chunk_objects, base) - objs0;
   res.objects_per_mb =
       bytes > 0 ? static_cast<double>(objs) /
                       (static_cast<double>(bytes) / (1024.0 * 1024.0))
                 : 0.0;
-  res.read_rpcs = after.read_chunk_rpcs - before.read_chunk_rpcs;
-  res.asm_hits = after.asm_hits;
-  res.asm_window_opens = after.asm_window_opens;
-  res.rewrite_runs = after.rewrite_runs;
-  res.rewrite_chunks = after.rewrite_chunks;
+  res.read_rpcs = c.counter_sum(l_tier_read_chunk_rpcs, base) - rpcs0;
+  res.asm_hits = c.counter_sum(l_tier_asm_hits, base);
+  res.asm_window_opens = c.counter_sum(l_tier_asm_window_opens, base);
+  res.rewrite_runs = c.counter_sum(l_tier_rewrite_runs, base);
+  res.rewrite_chunks = c.counter_sum(l_tier_rewrite_chunks, base);
 
   if (print_summary) print_obs_summary(c);
-  if (std::getenv("BENCH_RESTORE_DEBUG") != nullptr) {
-    std::printf(
-        "  [debug d=%.2f rw=%d] drained=%d flushed=%llu evict=%llu noop=%llu "
-        "hot_skip=%llu promo=%llu cached_rd=%llu remote_rd=%llu rw_runs=%llu "
-        "rw_chunks=%llu asm_open=%llu asm_hit=%llu\n",
-        rc.dedupe, rc.rewrite ? 1 : 0, res.drained ? 1 : 0,
-        (unsigned long long)after.chunks_flushed,
-        (unsigned long long)after.evictions,
-        (unsigned long long)after.noop_flushes,
-        (unsigned long long)after.hot_skips,
-        (unsigned long long)after.promotions,
-        (unsigned long long)(after.cached_read_chunks -
-                             before.cached_read_chunks),
-        (unsigned long long)(after.redirected_read_chunks -
-                             before.redirected_read_chunks),
-        (unsigned long long)after.rewrite_runs,
-        (unsigned long long)after.rewrite_chunks,
-        (unsigned long long)after.asm_window_opens,
-        (unsigned long long)after.asm_hits);
-  }
   return res;
 }
 
@@ -187,8 +169,8 @@ int run(int argc, char** argv) {
   double worst_high_dedupe_speedup = 1e9;
   for (size_t i = 0; i < ratios.size(); i++) {
     const double d = ratios[i];
-    RestoreConfig off_cfg{d, /*rewrite=*/false, /*assembly=*/-1, image};
-    RestoreConfig on_cfg{d, /*rewrite=*/true, /*assembly=*/-1, image};
+    RestoreConfig off_cfg{d, /*rewrite=*/false, /*assembly=*/true, image};
+    RestoreConfig on_cfg{d, /*rewrite=*/true, /*assembly=*/true, image};
     const bool last = i + 1 == ratios.size();
     RestoreResult off = run_restore(off_cfg, false);
     RestoreResult on = run_restore(on_cfg, last);
@@ -239,8 +221,8 @@ int run(int argc, char** argv) {
 
   // Determinism: the forward-assembly cache must not move a single event.
   {
-    RestoreConfig a{0.9, /*rewrite=*/false, /*assembly=*/0, image};
-    RestoreConfig b{0.9, /*rewrite=*/false, /*assembly=*/1, image};
+    RestoreConfig a{0.9, /*rewrite=*/false, /*assembly=*/false, image};
+    RestoreConfig b{0.9, /*rewrite=*/false, /*assembly=*/true, image};
     RestoreResult ra = run_restore(a, false);
     RestoreResult rb = run_restore(b, false);
     std::printf("assembly digest off=%s on=%s (%s), asm_hits=%llu\n",

@@ -10,13 +10,10 @@
 // own.  The digest is the one frozen reference, and it gates the run.
 //
 // Modes:
-//   --json=PATH       write the BENCH_SIM.json trajectory point to PATH
-//   --smoke           tiny scenario; structural self-checks only (ctest)
-//   --exec-threads=N  exec-pool worker count (default: GDEDUP_EXEC_THREADS
-//                     or 1); the digest must not depend on N
+//   --json=PATH  write the BENCH_SIM.json trajectory point to PATH
+//   --smoke      tiny scenario; structural self-checks only (ctest)
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -27,11 +24,8 @@
 namespace gdedup::bench {
 namespace {
 
-// Frozen serial reference (--exec-threads=1, this exact scenario): the
-// digest is the virtual-time fingerprint of the serial run, and every
-// thread count must reproduce it exactly — that equality is the whole
-// point of the exec-pool design (test_exec_pool enforces it at smoke
-// scale; this check enforces it at full scale).  Re-frozen once for the
+// Frozen reference for this exact scenario: the virtual-time fingerprint
+// every host-side change must reproduce exactly.  Re-frozen once for the
 // sharded engine (receiver-sequenced rx + global control lane — see
 // tests/test_sim_determinism.cc for the behaviour-change rationale).
 constexpr const char* kReferenceDigest = "fc0493f7";
@@ -108,9 +102,8 @@ void print_fastpath(const SimE2eResult& r) {
               static_cast<unsigned long long>(r.refs_cache_hits));
 }
 
-int run_smoke(int exec_threads) {
+int run_smoke() {
   SimE2eConfig cfg = smoke_config();
-  cfg.exec_threads = exec_threads;
   WallTimer wt;
   SimE2eResult r = run_sim_e2e(cfg);
   const double wall = wt.elapsed_sec();
@@ -132,18 +125,14 @@ int run_smoke(int exec_threads) {
   check(r.events > r.ops, "implausibly few scheduler events");
   check(r.digest_samples > r.ops, "digest missed the counter block");
 
-  // Fast-path invariance at smoke scale: forcing the two-tier path off
+  // Fast-path invariance at smoke scale: switching the two-tier path off
   // must reproduce the same digest (it changes host-side work only), and
-  // turning it on can only reduce the number of full SHA runs.
+  // having it on can only reduce the number of full SHA runs.
   SimE2eConfig off = cfg;
-  off.fp_fastpath = 0;
+  off.fp_fastpath = false;
   SimE2eResult roff = run_sim_e2e(off);
-  SimE2eConfig on = cfg;
-  on.fp_fastpath = 1;
-  SimE2eResult ron = run_sim_e2e(on);
-  check(roff.digest == r.digest, "digest depends on GDEDUP_FP_FASTPATH=0");
-  check(ron.digest == r.digest, "digest depends on GDEDUP_FP_FASTPATH=1");
-  check(ron.sha_computed <= roff.sha_computed,
+  check(roff.digest == r.digest, "digest depends on the fp fast path");
+  check(r.sha_computed <= roff.sha_computed,
         "fast path increased full-SHA invocations");
   check(roff.sha_avoided == 0 && roff.weak_hash_hits == 0,
         "fast-path counters moved while forced off");
@@ -155,13 +144,12 @@ int run_smoke(int exec_threads) {
   return ok ? 0 : 1;
 }
 
-int run_full(const std::string& json_path, int exec_threads) {
+int run_full(const std::string& json_path) {
   print_header("Simulation-core end-to-end wall-clock benchmark",
                "bench trajectory (BENCH_SIM.json); scenario of every "
                "figure/table bench");
 
   SimE2eConfig cfg;  // full-size defaults: 4x4 OSDs, 256 MB image
-  cfg.exec_threads = exec_threads;
   WallTimer wt;
   SimE2eResult r = run_sim_e2e(cfg);
   const double wall = wt.elapsed_sec();
@@ -200,30 +188,26 @@ int run_full(const std::string& json_path, int exec_threads) {
               static_cast<unsigned long long>(r.sim.events_batched),
               static_cast<unsigned long long>(r.sim.ingress_messages),
               static_cast<double>(r.sim.arena_bytes) / 1024.0);
-  std::printf("  exec threads         : %8d (%llu kernel jobs offloaded)\n",
-              r.exec_threads_used,
-              static_cast<unsigned long long>(r.kernel_jobs_offloaded));
+  std::printf("  kernels              :\n");
   for (const auto& k : r.kernels) {
-    std::printf("    %-12s %8llu jobs  %8.1f ms worker-busy\n", k.name,
+    std::printf("    %-12s %8llu jobs  %8.1f ms busy\n", k.name,
                 static_cast<unsigned long long>(k.jobs),
                 static_cast<double>(k.busy_ns) / 1e6);
   }
   print_fastpath(r);
 
   // Two-tier fast-path comparison on the dedup-heavy variant: run it once
-  // with the fast path forced on and once forced off.  Both digests must
+  // with the fast path on and once switched off.  Both digests must
   // match (the fast path is host-side only) and the on-run must cut full
   // SHA invocations by at least 2x — that pair of properties is the
   // acceptance contract for the fingerprint index.
   std::printf("\ndedup-heavy variant (dedupe=%.2f, chunk-aligned overwrites):\n",
               dedup_heavy_config().dedupe);
   SimE2eConfig hv = dedup_heavy_config();
-  hv.exec_threads = exec_threads;
-  hv.fp_fastpath = 1;
   WallTimer hwt_on;
   SimE2eResult hon = run_sim_e2e(hv);
   const double heavy_wall_on = hwt_on.elapsed_sec();
-  hv.fp_fastpath = 0;
+  hv.fp_fastpath = false;
   WallTimer hwt_off;
   SimE2eResult hoff = run_sim_e2e(hv);
   const double heavy_wall_off = hwt_off.elapsed_sec();
@@ -269,9 +253,6 @@ int run_full(const std::string& json_path, int exec_threads) {
            static_cast<double>(r.sim.shard_sync_barriers));
     jw.add("sim_windows", static_cast<double>(r.sim.windows));
     jw.add("sim_arena_bytes", static_cast<double>(r.sim.arena_bytes));
-    jw.add("exec_threads", static_cast<double>(r.exec_threads_used));
-    jw.add("kernel_jobs_offloaded",
-           static_cast<double>(r.kernel_jobs_offloaded));
     for (const auto& k : r.kernels) {
       jw.add(std::string("offload_") + k.name + "_jobs",
              static_cast<double>(k.jobs));
@@ -330,21 +311,18 @@ int run_full(const std::string& json_path, int exec_threads) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
-  int exec_threads = 0;  // 0: GDEDUP_EXEC_THREADS (default 1)
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--exec-threads=", 15) == 0) {
-      exec_threads = std::atoi(argv[i] + 15);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--json=PATH] [--exec-threads=N]\n",
+                   "usage: %s [--smoke] [--json=PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  return smoke ? gdedup::bench::run_smoke(exec_threads)
-               : gdedup::bench::run_full(json_path, exec_threads);
+  return smoke ? gdedup::bench::run_smoke()
+               : gdedup::bench::run_full(json_path);
 }

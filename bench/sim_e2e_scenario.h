@@ -69,24 +69,20 @@ struct SimE2eConfig {
   double dedupe = 0.5;         // duplicate fraction of generated content
   uint32_t chunk_size = 32 * 1024;
 
-  // Exec-pool worker threads for the real-byte kernels.  0 = inherit
-  // GDEDUP_EXEC_THREADS (default 1 = serial).  The digest is the same for
-  // every value — that is the point of the determinism tests.
-  int exec_threads = 0;
   // Event-engine shards.  0 = inherit GDEDUP_SIM_SHARDS (default 1).  The
   // digest is the same for every value — enforced by test_sim_shards.
   int sim_shards = 0;
   // EC(2,1) base + chunk pools instead of 2x replicated: exercises the
   // ReedSolomon encode/decode kernels on the client and flush paths.
   bool ec = false;
-  // Two-tier fingerprint fast path.  -1 = inherit GDEDUP_FP_FASTPATH
-  // (default on), 0 = force off, 1 = force on.  The digest is the same
-  // for every value — the fast path changes host-side work only.
-  int fp_fastpath = -1;
+  // Two-tier fingerprint fast path (Cluster::set_fast_paths_for_test).
+  // The digest is the same either way — the fast path changes host-side
+  // work only.
+  bool fp_fastpath = true;
   // Recipe-chunk metadata dedup.  -1 = inherit GDEDUP_RECIPE_DEDUP
-  // (default off), 0 = force off, 1 = force on.  Unlike the knobs above
+  // (default off), 0 = force off, 1 = force on.  Unlike the fast path
   // this changes on-disk layout and chunk traffic, so each state has its
-  // own digest; either state is shard/thread-count invariant.
+  // own digest; either state is shard-count invariant.
   int recipe_dedup = -1;
   // Telemetry sampling cadence (0 = off).  Sampling is reported, never
   // digested: the digest is byte-identical with any value here — enforced
@@ -110,9 +106,7 @@ struct SimE2eResult {
   int sim_shards_used = 1;
   Scheduler::Stats sim;
 
-  // Host-side exec-pool accounting (never digested: wall-clock only).
-  int exec_threads_used = 1;
-  uint64_t kernel_jobs_offloaded = 0;  // ran on a worker thread
+  // Host-side kernel accounting (never digested: wall-clock only).
   struct KernelBreakdown {
     const char* name;
     uint64_t jobs;
@@ -168,51 +162,23 @@ inline IssueFn digesting_issuer(Cluster& c, IssueFn inner,
 
 inline void digest_final_state(Cluster& c, PoolId base_pool, PoolId chunk_pool,
                                DeterminismDigest* dig) {
-  OsdStats osd_agg;
-  for (Osd* o : c.osds()) {
-    const OsdStats& s = o->stats();
-    osd_agg.client_ops += s.client_ops;
-    osd_agg.reads += s.reads;
-    osd_agg.writes += s.writes;
-    osd_agg.sub_writes += s.sub_writes;
-    osd_agg.chunk_puts += s.chunk_puts;
-    osd_agg.chunk_created += s.chunk_created;
-    osd_agg.chunk_dedup_hits += s.chunk_dedup_hits;
-    osd_agg.chunk_derefs += s.chunk_derefs;
-    osd_agg.chunks_reclaimed += s.chunks_reclaimed;
-    osd_agg.pulls += s.pulls;
-    osd_agg.pushes += s.pushes;
+  // The counters and their order are part of every frozen digest.
+  for (int idx : {l_osd_client_ops, l_osd_reads, l_osd_writes,
+                  l_osd_sub_writes, l_osd_chunk_puts, l_osd_chunk_created,
+                  l_osd_chunk_dedup_hits, l_osd_chunk_derefs,
+                  l_osd_chunks_reclaimed, l_osd_pulls, l_osd_pushes}) {
+    dig->u64(c.counter_sum(idx));
   }
-  dig->u64(osd_agg.client_ops);
-  dig->u64(osd_agg.reads);
-  dig->u64(osd_agg.writes);
-  dig->u64(osd_agg.sub_writes);
-  dig->u64(osd_agg.chunk_puts);
-  dig->u64(osd_agg.chunk_created);
-  dig->u64(osd_agg.chunk_dedup_hits);
-  dig->u64(osd_agg.chunk_derefs);
-  dig->u64(osd_agg.chunks_reclaimed);
-  dig->u64(osd_agg.pulls);
-  dig->u64(osd_agg.pushes);
-
-  const DedupTierStats t = c.tier_stats(base_pool);
-  dig->u64(t.writes);
-  dig->u64(t.reads);
-  dig->u64(t.removes);
-  dig->u64(t.prereads);
-  dig->u64(t.flush_merges);
-  dig->u64(t.cached_read_chunks);
-  dig->u64(t.redirected_read_chunks);
-  dig->u64(t.chunks_flushed);
-  dig->u64(t.flush_bytes);
-  dig->u64(t.noop_flushes);
-  dig->u64(t.derefs);
-  dig->u64(t.evictions);
-  dig->u64(t.capacity_evictions);
-  dig->u64(t.promotions);
-  dig->u64(t.hot_skips);
-  dig->u64(t.racy_flushes);
-  dig->u64(t.fingerprint_cache_hits);
+  for (int idx : {l_tier_writes, l_tier_reads, l_tier_removes,
+                  l_tier_prereads, l_tier_flush_merges,
+                  l_tier_cached_read_chunks, l_tier_redirected_read_chunks,
+                  l_tier_chunks_flushed, l_tier_flush_bytes,
+                  l_tier_noop_flushes, l_tier_derefs, l_tier_evictions,
+                  l_tier_capacity_evictions, l_tier_promotions,
+                  l_tier_hot_skips, l_tier_racy_flushes,
+                  l_tier_fingerprint_cache_hits}) {
+    dig->u64(c.counter_sum(idx, base_pool));
+  }
 
   for (PoolId p : {base_pool, chunk_pool}) {
     const ObjectStore::Stats s = c.pool_stats(p);
@@ -234,11 +200,10 @@ inline SimE2eResult run_sim_e2e(const SimE2eConfig& cfg) {
   cc.storage_nodes = cfg.storage_nodes;
   cc.osds_per_node = cfg.osds_per_node;
   cc.client_nodes = cfg.client_nodes;
-  cc.exec_threads = cfg.exec_threads;
   cc.sim_shards = cfg.sim_shards;
-  cc.fp_fastpath = cfg.fp_fastpath;
   cc.recipe_dedup = cfg.recipe_dedup;
   Cluster c(cc);
+  c.set_fast_paths_for_test(cfg.fp_fastpath, /*restore_assembly=*/true);
 
   const PoolId base = cfg.ec ? c.create_ec_pool("base", 2, 1)
                              : c.create_replicated_pool("base", 2);
@@ -332,8 +297,6 @@ inline SimE2eResult run_sim_e2e(const SimE2eConfig& cfg) {
   res.sim = c.sched().stats();
 
   ExecPool* xp = c.exec_pool();
-  res.exec_threads_used = xp->threads();
-  res.kernel_jobs_offloaded = xp->jobs_offloaded();
   for (int k = 0; k < static_cast<int>(Kernel::kCount); k++) {
     const auto s = xp->kernel_stats(static_cast<Kernel>(k));
     if (s.jobs == 0) continue;
@@ -342,20 +305,17 @@ inline SimE2eResult run_sim_e2e(const SimE2eConfig& cfg) {
   }
 
   res.fp_fastpath_used = c.fp_fastpath();
-  const DedupTierStats ts = c.tier_stats(base);
-  res.sha_computed = ts.sha_computed;
-  res.sha_avoided = ts.sha_avoided;
-  res.weak_hash_hits = ts.weak_hash_hits;
-  res.weak_collisions = ts.weak_collisions;
-  res.bloom_negative_hits = ts.bloom_negative_hits;
-  res.fingerprint_cache_hits = ts.fingerprint_cache_hits;
-  for (Osd* o : c.osds()) {
-    const OsdStats& s = o->stats();
-    res.meta_bytes_read += s.meta_bytes_read;
-    res.meta_bytes_written += s.meta_bytes_written;
-    res.refs_decodes += s.refs_decodes;
-    res.refs_cache_hits += s.refs_cache_hits;
-  }
+  res.sha_computed = c.counter_sum(l_tier_sha_computed, base);
+  res.sha_avoided = c.counter_sum(l_tier_sha_avoided, base);
+  res.weak_hash_hits = c.counter_sum(l_tier_weak_hash_hits, base);
+  res.weak_collisions = c.counter_sum(l_tier_weak_collisions, base);
+  res.bloom_negative_hits = c.counter_sum(l_tier_bloom_negative_hits, base);
+  res.fingerprint_cache_hits =
+      c.counter_sum(l_tier_fingerprint_cache_hits, base);
+  res.meta_bytes_read = c.counter_sum(l_osd_meta_bytes_read);
+  res.meta_bytes_written = c.counter_sum(l_osd_meta_bytes_written);
+  res.refs_decodes = c.counter_sum(l_osd_refs_decodes);
+  res.refs_cache_hits = c.counter_sum(l_osd_refs_cache_hits);
   return res;
 }
 

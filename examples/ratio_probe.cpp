@@ -62,11 +62,7 @@ int main(int argc, char** argv) {
   const uint64_t chunk = static_cast<uint64_t>(opts.get_int("chunk_kb", 32)) << 10;
 
   OsdMap map = make_map(osds);
-  // Chunk scans run on the exec pool (GDEDUP_EXEC_THREADS workers); the
-  // reported ratios are identical at any thread count.
-  ExecPool pool(ExecPool::env_threads());
-  RatioAnalyzer a(&map, 0, static_cast<uint32_t>(chunk),
-                  FingerprintAlgo::kSha256, &pool);
+  RatioAnalyzer a(&map, 0, static_cast<uint32_t>(chunk));
 
   if (workload == "fio") {
     workload::FioConfig cfg;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Build the whole tree under ASan+UBSan and run the test suite, then run
-# the observability tests under TSan.
+# the parallel shard-window tests under TSan.
 #
 # Usage: scripts/check_sanitizers.sh [ctest-regex]
 #
@@ -9,17 +9,13 @@
 # report into a hard failure, so a green ctest run really means no UB and
 # no memory errors on the exercised paths.
 #
-# TSan cannot be combined with ASan, hence the second build tree.  Two
-# sources of real host concurrency get exercised: the exec pool offloads
-# the real-byte kernels (fingerprint, CRC, EC, compression scans, chunk
-# scans) to worker threads, and the sharded event engine runs shard
-# windows on parallel workers.  The TSan phase runs the exec-pool tests,
-# the fault-campaign smoke, the bench smokes and the sim determinism/
-# shard-invariance tests with GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4
-# GDEDUP_SIM_PARALLEL=1 so every offloaded kernel, every cross-shard
-# peek behind the gated locks (object store, OSD store maps, op tracker)
-# and the shared observability paths (counter updates, trace span
-# bookkeeping, JSON dumps) see real worker concurrency.
+# TSan cannot be combined with ASan, hence the second build tree.  The
+# only host concurrency in the simulator is the sharded event engine
+# running shard windows on parallel workers (GDEDUP_SIM_PARALLEL=1), so
+# the TSan phase runs the sim determinism / shard-invariance tests and the
+# e2e smoke with four parallel shards: cross-shard inbox handoff, the
+# gated locks (object store, OSD store maps, op tracker) and the
+# observability paths they touch all see real worker concurrency.
 
 set -euo pipefail
 
@@ -52,7 +48,7 @@ else
   ctest --output-on-failure
 fi
 
-# --- TSan phase: observability layer only --------------------------------
+# --- TSan phase: parallel shard windows ----------------------------------
 
 tsan_dir="${repo_root}/build-tsan"
 tsan_flags="-fsanitize=thread -fno-sanitize-recover=all"
@@ -62,43 +58,12 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DCMAKE_CXX_FLAGS="${tsan_flags}" \
     -DCMAKE_EXE_LINKER_FLAGS="${tsan_flags}"
 cmake --build "${tsan_dir}" -j "$(nproc)" \
-    --target test_observability perf_dump test_exec_pool \
-    test_fault_campaign bench_micro_components bench_sim_e2e \
-    test_sim_determinism test_sim_shards test_fp_fastpath bench_fp_lookup \
-    test_telemetry bench_churn test_recipe bench_meta
+    --target test_sim_determinism test_sim_shards bench_sim_e2e
 
 cd "${tsan_dir}"
-# Four exec-pool workers and four engine shards (serial windows): the
-# fault-campaign smoke re-runs its schedules multi-threaded, the bench
-# smoke asserts the MT determinism digest equals the frozen serial
-# reference, and the obs byte-identity tests see the multi-shard event
-# order.  Parallel windows stay off here: op-trace ids are assigned in
-# wall-clock order across shard workers (DESIGN.md §9), so obs-dump
-# byte-identity is a serial-execution guarantee.
-GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 ctest --output-on-failure -R \
-    'test_observability|perf_dump_smoke|test_exec_pool|fault_smoke|bench_smoke|sim_e2e_smoke'
-
-# Parallel shard windows on top for the digest tests: cross-shard inbox
+# Parallel shard windows for the digest tests: cross-shard inbox
 # handoff, gated object-store/OSD locks and barrier synchronization get
 # race-checked while the virtual-time digest must not move a byte.
-GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 GDEDUP_SIM_PARALLEL=1 \
+GDEDUP_SIM_SHARDS=4 GDEDUP_SIM_PARALLEL=1 \
     ctest --output-on-failure -R \
     'test_sim_determinism|test_sim_shards|sim_e2e_smoke'
-
-# Fast-path phase: the two-tier fingerprint path forced ON while the exec
-# pool offloads kernels and the engine runs four shards.  The node-local
-# fingerprint index is thread-confined by design (probes/inserts only from
-# the owning node's event thread); this run makes TSan check that claim
-# wherever shard windows, kernel workers and the refs cache interleave.
-GDEDUP_FP_FASTPATH=1 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 \
-    ctest --output-on-failure -R \
-    'test_fp_fastpath|bench_fp_smoke|sim_e2e_smoke'
-
-# Recipe phase: recipe-chunk metadata dedup forced ON under four shards +
-# four kernel workers.  The compactor's async window stepper, the batched
-# omap apply and the recipe-chunk puts all interleave with shard windows
-# here; the recipe-mode digest (frozen in bench_meta --smoke) must not
-# move a byte.
-GDEDUP_RECIPE_DEDUP=1 GDEDUP_EXEC_THREADS=4 GDEDUP_SIM_SHARDS=4 \
-    ctest --output-on-failure -R \
-    'test_recipe|meta_smoke'

@@ -11,9 +11,8 @@
 #
 # Usage: scripts/run_bench.sh [output.json]
 #
-# GDEDUP_EXEC_THREADS selects the exec-pool worker count for the sim bench;
-# the determinism digest is asserted against the frozen serial reference
-# either way.
+# The sim bench asserts its determinism digest against the frozen
+# reference.
 #
 # Writes BENCH_PIPELINE.json (MB/s for sha1/sha256/crc32c/fixed/cdc, each
 # with its frozen-seed reference and speedup, the fingerprint-cache hit
@@ -122,10 +121,9 @@ obs = {
     "sim": d["counters"].get("sim", {}),
 }
 bench = json.load(open(target_path))
-# The sim bench records its exec-pool usage at top level; mirror it into
-# the obs section so one blob carries the full observability picture.
-for key in [k for k in bench if k == "exec_threads"
-            or k == "kernel_jobs_offloaded" or k.startswith("offload_")]:
+# The sim bench records its per-kernel host time at top level; mirror it
+# into the obs section so one blob carries the full observability picture.
+for key in [k for k in bench if k.startswith("offload_")]:
     obs[key] = bench[key]
 # Additive merge: the obs section is ours to refresh, every other key is
 # preserved untouched.

@@ -6,8 +6,8 @@
 namespace gdedup {
 
 uint64_t Buffer::next_generation() {
-  // Global monotonic counter.  Exec-pool workers construct Buffers (EC
-  // shards, decode outputs), so this must be thread-safe; relaxed order
+  // Global monotonic counter.  Parallel shard windows construct Buffers
+  // on several threads, so this must be thread-safe; relaxed order
   // suffices because only *uniqueness* matters — generations are compared
   // for equality in cache keys, never ordered or digested.  Starts at 1 so
   // gen 0 means "no storage yet".

@@ -24,7 +24,7 @@
 // Concurrency: one index per storage node, shared by that node's OSD
 // tiers.  The event engine runs every event of a node on that node's
 // shard (DESIGN.md §9), and probes/inserts happen only from tier code on
-// the owning node's event thread — never from exec-pool workers — so the
+// the owning node's event thread, so the
 // index is thread-confined and lock-free by construction.  Index state
 // feeds *host-side* decisions only (whether to run the SHA kernel); the
 // verified fingerprint is identical either way, so nothing virtual-time

@@ -18,38 +18,11 @@ RatioAnalyzer::ChunkScan scan_object(const FixedChunker& chunker,
 }  // namespace
 
 RatioAnalyzer::RatioAnalyzer(const OsdMap* map, PoolId pool,
-                             uint32_t chunk_size, FingerprintAlgo algo,
-                             ExecPool* exec_pool)
-    : map_(map),
-      pool_(pool),
-      chunker_(chunk_size),
-      algo_(algo),
-      exec_pool_(exec_pool) {}
+                             uint32_t chunk_size, FingerprintAlgo algo)
+    : map_(map), pool_(pool), chunker_(chunk_size), algo_(algo) {}
 
 void RatioAnalyzer::add_object(const std::string& oid, const Buffer& data) {
-  const OsdId primary = map_->primary(pool_, oid);
-  if (exec_pool_ != nullptr && exec_pool_->parallel()) {
-    // Pure job over the immutable COW payload: split + per-chunk hash.
-    // Accounting stays on the caller, applied in submission order.
-    Pending p;
-    p.primary = primary;
-    p.fut = kernel_async<ChunkScan>(
-        exec_pool_, Kernel::kCdcChunk,
-        [chunker = chunker_, algo = algo_, data] {
-          return scan_object(chunker, algo, data);
-        });
-    pending_.push_back(std::move(p));
-    return;
-  }
-  account(primary, scan_object(chunker_, algo_, data));
-}
-
-void RatioAnalyzer::drain() {
-  while (!pending_.empty()) {
-    Pending p = std::move(pending_.front());
-    pending_.pop_front();
-    account(p.primary, p.fut.take());
-  }
+  account(map_->primary(pool_, oid), scan_object(chunker_, algo_, data));
 }
 
 void RatioAnalyzer::account(OsdId primary, const ChunkScan& scan) {
@@ -64,8 +37,7 @@ void RatioAnalyzer::account(OsdId primary, const ChunkScan& scan) {
   }
 }
 
-DedupRatioReport RatioAnalyzer::local() {
-  drain();
+DedupRatioReport RatioAnalyzer::local() const {
   DedupRatioReport r;
   for (const auto& [osd, rep] : per_osd_) {
     r.logical_bytes += rep.logical_bytes;

@@ -9,14 +9,8 @@
 // space.  Ratios exclude redundancy-scheme copies, exactly as the paper
 // computes them ("calculated under excluding the redundancy caused by
 // replication"): each object is counted once, at its primary.
-//
-// With a parallel ExecPool, the chunk scan (split + per-chunk fingerprint)
-// of each object is submitted as a kernel job and the set accounting is
-// applied in submission order when a report is read — same numbers as the
-// serial path, but the byte work overlaps across objects.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <unordered_set>
 #include <utility>
@@ -26,7 +20,6 @@
 #include "common/buffer.h"
 #include "dedup/chunker.h"
 #include "hash/fingerprint.h"
-#include "sim/exec_pool.h"
 
 namespace gdedup {
 
@@ -47,41 +40,24 @@ class RatioAnalyzer {
   using ChunkScan = std::vector<std::pair<Fingerprint, uint64_t>>;
 
   RatioAnalyzer(const OsdMap* map, PoolId pool, uint32_t chunk_size,
-                FingerprintAlgo algo = FingerprintAlgo::kSha256,
-                ExecPool* exec_pool = nullptr);
+                FingerprintAlgo algo = FingerprintAlgo::kSha256);
 
   // Feed one logical object (whole image).  Placement comes from the map.
-  // With a parallel exec pool the scan is deferred to a worker; reports
-  // drain pending scans first.
   void add_object(const std::string& oid, const Buffer& data);
 
-  DedupRatioReport global() {
-    drain();
-    return global_;
-  }
-  DedupRatioReport local();  // summed over per-OSD unique sets
+  DedupRatioReport global() const { return global_; }
+  DedupRatioReport local() const;  // summed over per-OSD unique sets
 
   // Per-OSD logical bytes landed (placement balance diagnostics).
-  const std::map<OsdId, DedupRatioReport>& per_osd() {
-    drain();
-    return per_osd_;
-  }
+  const std::map<OsdId, DedupRatioReport>& per_osd() const { return per_osd_; }
 
  private:
   void account(OsdId primary, const ChunkScan& scan);
-  void drain();  // join pending scans in submission order
 
   const OsdMap* map_;
   PoolId pool_;
   FixedChunker chunker_;
   FingerprintAlgo algo_;
-  ExecPool* exec_pool_;
-
-  struct Pending {
-    OsdId primary;
-    KernelFuture<ChunkScan> fut;
-  };
-  std::deque<Pending> pending_;
 
   DedupRatioReport global_;
   std::unordered_set<Fingerprint> global_seen_;

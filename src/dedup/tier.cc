@@ -112,53 +112,6 @@ DedupTier::DedupTier(Osd* osd, PoolId pool)
   if (auto* reg = osd_->ctx().perf_registry()) reg->add(perf_);
 }
 
-void DedupTier::refresh_stats_view() const {
-  stats_view_.writes = perf_->get(l_tier_writes);
-  stats_view_.reads = perf_->get(l_tier_reads);
-  stats_view_.removes = perf_->get(l_tier_removes);
-  stats_view_.prereads = perf_->get(l_tier_prereads);
-  stats_view_.flush_merges = perf_->get(l_tier_flush_merges);
-  stats_view_.cached_read_chunks = perf_->get(l_tier_cached_read_chunks);
-  stats_view_.redirected_read_chunks =
-      perf_->get(l_tier_redirected_read_chunks);
-  stats_view_.chunks_flushed = perf_->get(l_tier_chunks_flushed);
-  stats_view_.flush_bytes = perf_->get(l_tier_flush_bytes);
-  stats_view_.noop_flushes = perf_->get(l_tier_noop_flushes);
-  stats_view_.derefs = perf_->get(l_tier_derefs);
-  stats_view_.evictions = perf_->get(l_tier_evictions);
-  stats_view_.capacity_evictions = perf_->get(l_tier_capacity_evictions);
-  stats_view_.promotions = perf_->get(l_tier_promotions);
-  stats_view_.hot_skips = perf_->get(l_tier_hot_skips);
-  stats_view_.racy_flushes = perf_->get(l_tier_racy_flushes);
-  stats_view_.degraded_pulls = perf_->get(l_tier_degraded_pulls);
-  stats_view_.orphan_adoptions = perf_->get(l_tier_orphan_adoptions);
-  stats_view_.engine_ticks = perf_->get(l_tier_engine_ticks);
-  stats_view_.engine_aborts = perf_->get(l_tier_engine_aborts);
-  stats_view_.fingerprint_cache_hits =
-      perf_->get(l_tier_fingerprint_cache_hits);
-  stats_view_.weak_hash_hits = perf_->get(l_tier_weak_hash_hits);
-  stats_view_.weak_hash_misses = perf_->get(l_tier_weak_hash_misses);
-  stats_view_.weak_collisions = perf_->get(l_tier_weak_collisions);
-  stats_view_.bloom_negative_hits = perf_->get(l_tier_bloom_negative_hits);
-  stats_view_.sha_computed = perf_->get(l_tier_sha_computed);
-  stats_view_.sha_avoided = perf_->get(l_tier_sha_avoided);
-  stats_view_.read_logical_bytes = perf_->get(l_tier_read_logical_bytes);
-  stats_view_.read_chunk_objects = perf_->get(l_tier_read_chunk_objects);
-  stats_view_.read_chunk_rpcs = perf_->get(l_tier_read_chunk_rpcs);
-  stats_view_.asm_window_opens = perf_->get(l_tier_asm_window_opens);
-  stats_view_.asm_hits = perf_->get(l_tier_asm_hits);
-  stats_view_.asm_prefetched_refs = perf_->get(l_tier_asm_prefetched_refs);
-  stats_view_.asm_wasted_refs = perf_->get(l_tier_asm_wasted_refs);
-  stats_view_.rewrite_runs = perf_->get(l_tier_rewrite_runs);
-  stats_view_.rewrite_chunks = perf_->get(l_tier_rewrite_chunks);
-  stats_view_.rewrite_bytes = perf_->get(l_tier_rewrite_bytes);
-  stats_view_.recipe_chunks = perf_->get(l_tier_recipe_chunks);
-  stats_view_.recipe_hits = perf_->get(l_tier_recipe_hits);
-  stats_view_.meta_txns = perf_->get(l_tier_meta_txns);
-  stats_view_.meta_bytes_baseline = perf_->get(l_tier_meta_bytes_baseline);
-  stats_view_.meta_bytes_actual = perf_->get(l_tier_meta_bytes_actual);
-}
-
 void DedupTier::sync_telemetry_gauges() {
   perf_->set_gauge(l_tier_backlog, static_cast<int64_t>(dirty_backlog()));
   perf_->set_gauge(l_tier_backlog_derefs,
@@ -1879,9 +1832,8 @@ void DedupTier::fingerprint_async(const Buffer& content,
     }
   }
   perf_->inc(l_tier_sha_computed);
-  // Submit the real hash at issue time; a worker overlaps it with the
-  // simulated cost below, and take() inside the completion callback is
-  // where the result becomes observable (inline there in serial mode).
+  // Capture the real hash at issue time; it runs at take() inside the
+  // completion callback, once the simulated cost below has elapsed.
   auto fp_fut = kernel_async<Fingerprint>(
       osd_->ctx().exec_pool(), Kernel::kFingerprint,
       [algo, content] { return Fingerprint::compute(algo, content.span()); });

@@ -78,8 +78,8 @@ inline const char* failure_point_name(FailurePoint p) {
 }
 
 // Perf-counter indices for one tier engine (registry entity
-// "tier.osd<id>.pool<pool>").  Counters are the source of truth;
-// DedupTierStats below is a compatibility view rebuilt on demand.
+// "tier.osd<id>.pool<pool>").  Read one tier through perf(), a pool's
+// sum through Cluster::counter_sum().
 enum {
   l_tier_first = 2000,
   l_tier_writes,
@@ -160,57 +160,6 @@ enum {
   l_tier_last,
 };
 
-struct DedupTierStats {
-  uint64_t writes = 0;
-  uint64_t reads = 0;
-  uint64_t removes = 0;
-  uint64_t prereads = 0;      // foreground RMW fills (inline mode)
-  uint64_t flush_merges = 0;  // background fills of partial dirty chunks
-  uint64_t cached_read_chunks = 0;
-  uint64_t redirected_read_chunks = 0;
-  uint64_t chunks_flushed = 0;    // chunk objects pushed to the chunk pool
-  uint64_t flush_bytes = 0;
-  uint64_t noop_flushes = 0;      // content unchanged; dirty cleared locally
-  uint64_t derefs = 0;
-  uint64_t evictions = 0;
-  uint64_t capacity_evictions = 0;  // LRU cache-cap reclaims (Section 4.3)
-  uint64_t promotions = 0;
-  uint64_t hot_skips = 0;
-  uint64_t racy_flushes = 0;      // object changed mid-flush; stayed dirty
-  uint64_t degraded_pulls = 0;    // objects recovered on-demand by a new
-                                  // primary before serving an op
-  uint64_t orphan_adoptions = 0;  // redo flushes re-based onto the chunk a
-                                  // crashed attempt already put
-  uint64_t engine_ticks = 0;
-  uint64_t engine_aborts = 0;     // injected failures taken
-  uint64_t fingerprint_cache_hits = 0;  // hashes skipped via COW memoization
-  // Two-tier fast path (reported, never digested — see the counter enum).
-  uint64_t weak_hash_hits = 0;
-  uint64_t weak_hash_misses = 0;
-  uint64_t weak_collisions = 0;
-  uint64_t bloom_negative_hits = 0;
-  uint64_t sha_computed = 0;
-  uint64_t sha_avoided = 0;
-  // Fragmentation-aware restore path (reported, never digested except the
-  // rewrite counters under restore_rewrite's own frozen digest).
-  uint64_t read_logical_bytes = 0;
-  uint64_t read_chunk_objects = 0;
-  uint64_t read_chunk_rpcs = 0;
-  uint64_t asm_window_opens = 0;
-  uint64_t asm_hits = 0;
-  uint64_t asm_prefetched_refs = 0;
-  uint64_t asm_wasted_refs = 0;
-  uint64_t rewrite_runs = 0;
-  uint64_t rewrite_chunks = 0;
-  uint64_t rewrite_bytes = 0;
-  // Recipe metadata dedup (only move in recipe mode).
-  uint64_t recipe_chunks = 0;
-  uint64_t recipe_hits = 0;
-  uint64_t meta_txns = 0;
-  uint64_t meta_bytes_baseline = 0;
-  uint64_t meta_bytes_actual = 0;
-};
-
 class DedupTier : public TierService {
  public:
   DedupTier(Osd* osd, PoolId pool);
@@ -242,12 +191,6 @@ class DedupTier : public TierService {
   }
 
   // --- introspection / test hooks ---
-  // Compatibility view rebuilt from the perf counters on every call.
-  const DedupTierStats& stats() const {
-    refresh_stats_view();
-    return stats_view_;
-  }
-
   obs::PerfCounters& perf() { return *perf_; }
   const obs::PerfCounters& perf() const { return *perf_; }
 
@@ -478,15 +421,12 @@ class DedupTier : public TierService {
   FingerprintIndex* fp_index();
   uint64_t weak_hash_of(const Buffer& content);
 
-  void refresh_stats_view() const;
-
   Osd* osd_;
   PoolId pool_;
   FixedChunker chunker_;
   HitSet hitset_;
   RateController rate_;
   obs::PerfCountersRef perf_;
-  mutable DedupTierStats stats_view_;
   FingerprintCache fp_cache_;
 
   std::unordered_map<std::string, ChunkMap> map_cache_;

@@ -9,7 +9,7 @@
 // advances any clock beyond what the workload already drives.  That is the
 // determinism contract: telemetry is *reported, never digested*, so the
 // DeterminismDigest is byte-identical with sampling on or off at any
-// GDEDUP_SIM_SHARDS / GDEDUP_EXEC_THREADS setting, and the timeline
+// GDEDUP_SIM_SHARDS setting, and the timeline
 // itself is byte-identical run-to-run for a fixed seed (it contains only
 // virtual-time-deterministic values — no wall clocks, no op-trace ids,
 // and no host-scheduling-dependent "sim" engine counters).

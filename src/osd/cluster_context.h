@@ -47,41 +47,31 @@ class ClusterContext {
   virtual obs::PerfRegistry* perf_registry() { return nullptr; }
   virtual obs::OpTracker* op_tracker() { return nullptr; }
 
-  // Worker pool for the real-byte kernels (sim/exec_pool.h).  Default
-  // nullptr: kernel_async() then runs the job inline at take(), which is
-  // exactly the serial path — fixtures without a cluster need no pool.
+  // Kernel accounting for the real-byte kernels (sim/exec_pool.h).
+  // Default nullptr: kernel_async() then runs the job uncounted at
+  // take() — fixtures without a cluster need no pool.
   virtual ExecPool* exec_pool() { return nullptr; }
 
-  // Two-tier fingerprint fast path (dedup/fingerprint_index.h).  The knob
-  // gates *host-side* work only — SHA invocations actually run and chunk
-  // refcount decode/encode round trips — so the determinism digest is
-  // byte-identical either way; both states stay testable.  Default: the
-  // GDEDUP_FP_FASTPATH environment variable, on unless set to "0".
-  // rados::Cluster overrides with its ClusterConfig knob.
-  static bool env_fp_fastpath() {
-    const char* v = std::getenv("GDEDUP_FP_FASTPATH");
-    return v == nullptr || v[0] == '\0' || v[0] != '0';
-  }
-  virtual bool fp_fastpath() const { return env_fp_fastpath(); }
+  // Two-tier fingerprint fast path (dedup/fingerprint_index.h) and the
+  // decoded chunk-refs cache (osd/refs_cache.h).  Gates *host-side* work
+  // only — SHA invocations actually run and chunk refcount decode/encode
+  // round trips — so the determinism digest is byte-identical either
+  // way.  Always on; rados::Cluster can switch it off for tests.
+  virtual bool fp_fastpath() const { return true; }
 
   // Forward-assembly restore cache (dedup/tier.cc handle_read).  Host-side
   // only, like the fingerprint fast path: a sequential-read window plans
   // the next chunk refs and assembles replies from one window buffer, but
   // every chunk-pool RPC, cpu cost, and digested counter is issued
   // identically — the determinism digest is byte-identical either way.
-  // Default: the GDEDUP_RESTORE_ASSEMBLY environment variable, on unless
-  // set to "0".  rados::Cluster overrides with its ClusterConfig knob.
-  static bool env_restore_assembly() {
-    const char* v = std::getenv("GDEDUP_RESTORE_ASSEMBLY");
-    return v == nullptr || v[0] == '\0' || v[0] != '0';
-  }
-  virtual bool restore_assembly() const { return env_restore_assembly(); }
+  // Always on; rados::Cluster can switch it off for tests.
+  virtual bool restore_assembly() const { return true; }
 
-  // Recipe-chunk metadata dedup (dedup/recipe.h).  Unlike the two knobs
-  // above this one changes persisted bytes — chunk maps compact into
+  // Recipe-chunk metadata dedup (dedup/recipe.h).  Unlike the two fast
+  // paths above this one changes persisted bytes — chunk maps compact into
   // content-addressed recipe chunks and omap writes batch per flush
   // cycle — so it carries its own frozen determinism digest (byte-
-  // identical at any shards×threads, but different from default mode).
+  // identical at any shard count, but different from default mode).
   // Default: the GDEDUP_RECIPE_DEDUP environment variable, OFF unless
   // set non-empty and not "0".  rados::Cluster overrides with its
   // ClusterConfig knob.

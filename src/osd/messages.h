@@ -87,15 +87,6 @@ struct OsdOp {
   // for free, like Ceph's in-process tracking state.
   std::shared_ptr<obs::OpTrace> trace;
 
-  // CRC32C of `data`, computed by the exec pool's CRC kernel at receive
-  // dispatch when worker threads are available.  Lets dedup hits
-  // cross-check the incoming payload against the stored chunk without
-  // touching bytes on the event loop.  Host-side metadata, not wire data
-  // (a real message would carry its checksum anyway); absent in serial
-  // runs, where the CRC cost stays virtual-only.
-  uint32_t payload_crc = 0;
-  bool has_payload_crc = false;
-
   uint64_t wire_bytes() const;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "compress/lz.h"
-#include "sim/exec_pool.h"
 
 namespace gdedup {
 
@@ -441,48 +440,14 @@ ObjectStore::Stats ObjectStore::stats(PoolId pool) const {
 ObjectStore::Stats ObjectStore::stats_impl(const PoolId* pool) const {
   MaybeSharedLock g(mu_);
   Stats s;
-  // Compression-at-rest scans walk every stored byte, which dominates
-  // stats() on compressed pools.  With workers available, batch objects
-  // into kCompress jobs and join them in submission order: the total is a
-  // sum of pure per-batch sums, so the result is identical at any thread
-  // count.  The store is not mutated between submit and join (both happen
-  // inside this call, on the event-loop thread), so the jobs can read the
-  // ObjectStates in place.
-  const bool offload =
-      compress_at_rest_ && exec_pool_ && exec_pool_->parallel();
-  constexpr size_t kScanBatch = 32;
-  std::vector<const ObjectState*> batch;
-  std::vector<KernelFuture<uint64_t>> scans;
-  auto flush_batch = [&] {
-    if (batch.empty()) return;
-    scans.push_back(kernel_async<uint64_t>(
-        exec_pool_, Kernel::kCompress,
-        [batch = std::move(batch)] {
-          uint64_t n = 0;
-          for (const ObjectState* st : batch) {
-            for (const auto& [off, buf] : st->data.extents()) {
-              n += LzCodec::compressed_size(buf);
-            }
-          }
-          return n;
-        }));
-    batch.clear();
-  };
   for (const auto& [key, st] : objects_) {
     if (pool && key.pool != *pool) continue;
     s.objects++;
     s.logical_bytes += st.logical_size;
-    if (offload) {
-      batch.push_back(&st);
-      if (batch.size() >= kScanBatch) flush_batch();
-    } else {
-      s.stored_data_bytes += stored_bytes_of(st);
-    }
+    s.stored_data_bytes += stored_bytes_of(st);
     s.xattr_bytes += kv_bytes(st.xattrs);
     s.omap_bytes += kv_bytes(st.omap);
   }
-  flush_batch();
-  for (auto& scan : scans) s.stored_data_bytes += scan.take();
   s.physical_bytes = s.stored_data_bytes + s.xattr_bytes + s.omap_bytes +
                      s.objects * kPerObjectBaseBytes;
   return s;

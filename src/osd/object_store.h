@@ -25,8 +25,6 @@
 
 namespace gdedup {
 
-class ExecPool;  // sim/exec_pool.h — optional worker pool for stats scans
-
 using PoolId = int;
 
 // Matches the paper's note that a Ceph object carries >= 512 bytes of its
@@ -146,12 +144,6 @@ class ObjectStore {
   explicit ObjectStore(bool compress_at_rest = false)
       : compress_at_rest_(compress_at_rest) {}
 
-  // Optional worker pool for the compression-at-rest stats scan (the
-  // kCompress kernel).  The scan walks every stored byte, so it dominates
-  // stats() on compressed pools; the total is an in-order sum of pure
-  // per-batch sums, identical at any thread count.
-  void set_exec_pool(ExecPool* pool) { exec_pool_ = pool; }
-
   // Apply atomically: validates first, then mutates; a failed validation
   // leaves the store untouched.
   Status apply(const Transaction& txn);
@@ -200,7 +192,6 @@ class ObjectStore {
   Stats stats_impl(const PoolId* pool) const;
 
   bool compress_at_rest_;
-  ExecPool* exec_pool_ = nullptr;
   // Guards the map *structure* against cross-shard lookups racing a local
   // insert/erase during parallel windows (the gated locks are no-ops in
   // serial execution).  Field-level read/write races on one object are

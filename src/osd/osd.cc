@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/crc32.h"
 #include "common/encoding.h"
 #include "common/logging.h"
 #include "ec/reed_solomon.h"
@@ -78,32 +77,12 @@ Osd::Osd(ClusterContext* ctx, OsdId id, NodeId node, const SsdConfig& disk_cfg)
   b.add_histogram(l_osd_op_r_lat, "op_r_lat");
   b.add_histogram(l_osd_op_w_lat, "op_w_lat");
   b.add_counter(l_osd_bytes_zero_copied, "bytes_zero_copied");
-  b.add_counter(l_osd_crc_verifies, "crc_verifies");
-  b.add_counter(l_osd_crc_verify_failures, "crc_verify_failures");
   b.add_counter(l_osd_meta_bytes_read, "meta_bytes_read");
   b.add_counter(l_osd_meta_bytes_written, "meta_bytes_written");
   b.add_counter(l_osd_refs_decodes, "refs_decodes");
   b.add_counter(l_osd_refs_cache_hits, "refs_cache_hits");
   perf_ = b.create();
   if (auto* reg = ctx_->perf_registry()) reg->add(perf_);
-}
-
-void Osd::refresh_stats_view() const {
-  stats_view_.client_ops = perf_->get(l_osd_client_ops);
-  stats_view_.reads = perf_->get(l_osd_reads);
-  stats_view_.writes = perf_->get(l_osd_writes);
-  stats_view_.sub_writes = perf_->get(l_osd_sub_writes);
-  stats_view_.chunk_puts = perf_->get(l_osd_chunk_puts);
-  stats_view_.chunk_created = perf_->get(l_osd_chunk_created);
-  stats_view_.chunk_dedup_hits = perf_->get(l_osd_chunk_dedup_hits);
-  stats_view_.chunk_derefs = perf_->get(l_osd_chunk_derefs);
-  stats_view_.chunks_reclaimed = perf_->get(l_osd_chunks_reclaimed);
-  stats_view_.pulls = perf_->get(l_osd_pulls);
-  stats_view_.pushes = perf_->get(l_osd_pushes);
-  stats_view_.meta_bytes_read = perf_->get(l_osd_meta_bytes_read);
-  stats_view_.meta_bytes_written = perf_->get(l_osd_meta_bytes_written);
-  stats_view_.refs_decodes = perf_->get(l_osd_refs_decodes);
-  stats_view_.refs_cache_hits = perf_->get(l_osd_refs_cache_hits);
 }
 
 bool Osd::fail_at(OsdFailurePoint p, const ObjectKey& key) {
@@ -141,7 +120,6 @@ ObjectStore& Osd::store(PoolId pool) {
   if (it == stores_.end()) {
     const bool compress = ctx_->osdmap().pool(pool).compress_at_rest;
     it = stores_.emplace(pool, std::make_unique<ObjectStore>(compress)).first;
-    it->second->set_exec_pool(ctx_->exec_pool());
   }
   return *it->second;
 }
@@ -183,30 +161,12 @@ void Osd::handle_op(OsdOp op, ReplyFn reply) {
     return;  // crashed: message silently lost
   }
 
-  // Request-processing CPU: fixed dispatch cost + checksumming of payload.
-  // The virtual CRC cost has always been charged here; with a parallel
-  // exec pool the checksum is now really computed — a worker overlaps it
-  // with the virtual delay, and the result rides on the op so downstream
-  // dedup hits can cross-check payload-vs-stored-chunk integrity.  Gated
-  // on parallel(): serial runs keep the checksum virtual-only, exactly
-  // the pre-offload event-loop work.
-  KernelFuture<uint32_t> crc;
-  ExecPool* xp = ctx_->exec_pool();
-  if (xp != nullptr && xp->parallel() && !op.data.empty()) {
-    Buffer payload = op.data;
-    crc = kernel_async<uint32_t>(xp, Kernel::kCrc, [payload = std::move(
-                                                        payload)] {
-      return crc32c(payload.span());
-    });
-  }
+  // Request-processing CPU: fixed dispatch cost + checksumming of payload
+  // (virtual cost only).
   const SimTime cost =
       cpu().op_fixed_cost() + cpu().crc_cost(op.data.size());
-  cpu().execute(cost, [this, op = std::move(op), crc = std::move(crc),
+  cpu().execute(cost, [this, op = std::move(op),
                        reply = std::move(reply)]() mutable {
-    if (crc.valid()) {
-      op.payload_crc = crc.take();
-      op.has_payload_crc = true;
-    }
     dispatch(std::move(op), std::move(reply));
   });
 }
@@ -512,30 +472,7 @@ void Osd::chunk_put_ref_locked(const OsdOp& op, ReplyFn reply) {
   perf_->inc(l_osd_chunk_puts);
   const ObjectKey key{op.pool, op.oid};
 
-  // Double-hashing integrity tripwire, free when workers exist: on a
-  // dedup hit the OID promises the incoming payload equals the stored
-  // chunk.  Cross-check the receive-time payload CRC against the stored
-  // bytes on a worker; the verdict is consumed (joined) when the op
-  // finishes.  Counters only — never part of the determinism digest.
-  KernelFuture<bool> crc_ok;
-  ExecPool* xp = ctx_->exec_pool();
-  if (xp != nullptr && xp->parallel() && op.has_payload_crc &&
-      !op.data.empty() && local_exists(op.pool, op.oid)) {
-    if (auto stored = store(op.pool).read(key, 0, 0); stored.is_ok()) {
-      perf_->inc(l_osd_crc_verifies);
-      crc_ok = kernel_async<bool>(
-          xp, Kernel::kCrc,
-          [sb = std::move(stored).value(), want = op.payload_crc] {
-            return crc32c(sb.span()) == want;
-          });
-    }
-  }
-
-  auto finish = [this, key, crc_ok = std::move(crc_ok),
-                 reply = std::move(reply)](Status s) mutable {
-    if (crc_ok.valid() && !crc_ok.take()) {
-      perf_->inc(l_osd_crc_verify_failures);
-    }
+  auto finish = [this, key, reply = std::move(reply)](Status s) mutable {
     reply(OsdOpReply{s, {}, 0, {}, nullptr});
     finish_chunk_op(key);
   };
@@ -890,9 +827,8 @@ void Osd::ec_write_locked(PoolId pool, const std::string& oid, Transaction txn,
     }
     Buffer full = base.data.read(0, base.logical_size);
     const uint64_t parity_cost_bytes = full.size();
-    // Parity math runs on the exec pool while the virtual cost elapses;
-    // the shards are joined exactly when the cost model says the encode
-    // completes (inline there in serial mode).
+    // Parity math runs exactly when the cost model says the encode
+    // completes.
     auto shards_fut = kernel_async<std::vector<Buffer>>(
         ctx_->exec_pool(), Kernel::kEcEncode,
         [ec_k = cfg.ec_k, ec_m = cfg.ec_m, full = std::move(full)] {
@@ -1026,10 +962,9 @@ void Osd::ec_read(PoolId pool, const std::string& oid, uint64_t off,
       for (const auto& s : gs->shards) {
         if (s.has_value()) bytes += s->size();
       }
-      // Degraded read: reconstruct on the exec pool under the virtual
-      // decode cost.  All replies are in (outstanding == 0), so
-      // gs->shards is immutable from here on — safe to share with the
-      // worker.
+      // Degraded read: reconstruct when the virtual decode cost has
+      // elapsed.  All replies are in (outstanding == 0), so gs->shards is
+      // immutable from here on — safe to share with the deferred job.
       auto fut = kernel_async<Result<Buffer>>(
           ctx_->exec_pool(), Kernel::kEcDecode,
           [gs, rs] { return rs.decode(gs->shards, gs->orig_len); });

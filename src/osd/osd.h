@@ -75,9 +75,9 @@ const char* osd_failure_point_name(OsdFailurePoint p);
 using OsdFailureHook =
     std::function<bool(OsdFailurePoint, const ObjectKey& key)>;
 
-// Perf-counter indices for one OSD (registry entity "osd.<id>").  The
-// counters are the source of truth; OsdStats below is a compatibility
-// view rebuilt from them on demand.
+// Perf-counter indices for one OSD (registry entity "osd.<id>").  Read
+// one OSD through perf(), the cluster's sum through
+// Cluster::counter_sum().
 enum {
   l_osd_first = 1000,
   l_osd_client_ops,
@@ -94,8 +94,6 @@ enum {
   l_osd_op_r_lat,  // client-facing read latency (dispatch -> reply), ns
   l_osd_op_w_lat,  // client-facing write latency, ns
   l_osd_bytes_zero_copied,    // payload bytes applied as shared COW slices
-  l_osd_crc_verifies,         // exec-pool payload CRC cross-checks run
-  l_osd_crc_verify_failures,  // dedup-hit payload mismatched stored chunk
   // Chunk-map metadata accounting (osd/refs_cache.h).  meta_bytes_* count
   // the refs-xattr traffic identically with the fast path on or off; the
   // cache counters measure decodes actually skipped.  Host-side only —
@@ -105,27 +103,6 @@ enum {
   l_osd_refs_decodes,         // full reference-list decodes performed
   l_osd_refs_cache_hits,      // decodes skipped via identity-validated hit
   l_osd_last,
-};
-
-// Legacy aggregate view of the OSD perf counters.  Kept because a pile of
-// tests and harnesses read these fields; Osd::stats() refreshes one from
-// the registry-backed counters.
-struct OsdStats {
-  uint64_t client_ops = 0;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t sub_writes = 0;
-  uint64_t chunk_puts = 0;
-  uint64_t chunk_created = 0;      // new chunk objects stored
-  uint64_t chunk_dedup_hits = 0;   // puts satisfied by an existing chunk
-  uint64_t chunk_derefs = 0;
-  uint64_t chunks_reclaimed = 0;   // refcount hit zero
-  uint64_t pulls = 0;
-  uint64_t pushes = 0;
-  uint64_t meta_bytes_read = 0;
-  uint64_t meta_bytes_written = 0;
-  uint64_t refs_decodes = 0;
-  uint64_t refs_cache_hits = 0;
 };
 
 class Osd {
@@ -168,19 +145,6 @@ class Osd {
   const ObjectStore* store_if_exists(PoolId pool) const;
 
   SsdModel& disk() { return disk_; }
-
-  // Compatibility accessors: rebuild the legacy struct from the perf
-  // counters.  Reads through the returned reference are always current;
-  // writes would be lost (no caller writes — they all go through the
-  // counters now).
-  OsdStats& stats() {
-    refresh_stats_view();
-    return stats_view_;
-  }
-  const OsdStats& stats() const {
-    refresh_stats_view();
-    return stats_view_;
-  }
 
   obs::PerfCounters& perf() { return *perf_; }
   const obs::PerfCounters& perf() const { return *perf_; }
@@ -280,8 +244,6 @@ class Osd {
   void local_apply(PoolId pool, Transaction txn,
                    std::function<void(Status)> done);
 
-  void refresh_stats_view() const;
-
   ClusterContext* ctx_;
   OsdId id_;
   NodeId node_;
@@ -303,7 +265,6 @@ class Osd {
   // (reset_volatile) need not touch it.
   RefsCache refs_cache_;
   obs::PerfCountersRef perf_;
-  mutable OsdStats stats_view_;
   OsdFailureHook failure_hook_;
   uint64_t injected_crashes_ = 0;
   SlidingWindowCounter fg_window_{kSecond};

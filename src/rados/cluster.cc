@@ -13,16 +13,9 @@ namespace gdedup {
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(cfg),
       sched_(cfg.sim_shards > 0 ? cfg.sim_shards : Scheduler::env_shards()),
-      exec_pool_(cfg.exec_threads > 0 ? cfg.exec_threads
-                                      : ExecPool::env_threads()),
       op_tracker_(obs::OpTracker::resolve_historic_cap(cfg.ops_history),
                   obs::OpTracker::resolve_slow_cap(cfg.ops_slow_board)),
       net_(&sched_, cfg.storage_nodes + cfg.client_nodes, cfg.net),
-      fp_fastpath_(cfg.fp_fastpath < 0 ? ClusterContext::env_fp_fastpath()
-                                       : cfg.fp_fastpath != 0),
-      restore_assembly_(cfg.restore_assembly < 0
-                            ? ClusterContext::env_restore_assembly()
-                            : cfg.restore_assembly != 0),
       recipe_dedup_(cfg.recipe_dedup < 0 ? ClusterContext::env_recipe_dedup()
                                          : cfg.recipe_dedup != 0) {
   // Storage nodes spread round-robin over shards; client nodes pin to
@@ -157,54 +150,19 @@ DedupTier* Cluster::tier_of(OsdId osd_id, PoolId metadata_pool) {
   return static_cast<DedupTier*>(o->tier(metadata_pool));
 }
 
-DedupTierStats Cluster::tier_stats(PoolId metadata_pool) {
-  DedupTierStats agg;
-  for (auto& o : osds_) {
-    auto* t = static_cast<DedupTier*>(o->tier(metadata_pool));
-    if (t == nullptr) continue;
-    const DedupTierStats& s = t->stats();
-    agg.writes += s.writes;
-    agg.reads += s.reads;
-    agg.removes += s.removes;
-    agg.prereads += s.prereads;
-    agg.flush_merges += s.flush_merges;
-    agg.cached_read_chunks += s.cached_read_chunks;
-    agg.redirected_read_chunks += s.redirected_read_chunks;
-    agg.chunks_flushed += s.chunks_flushed;
-    agg.flush_bytes += s.flush_bytes;
-    agg.noop_flushes += s.noop_flushes;
-    agg.derefs += s.derefs;
-    agg.evictions += s.evictions;
-    agg.capacity_evictions += s.capacity_evictions;
-    agg.promotions += s.promotions;
-    agg.hot_skips += s.hot_skips;
-    agg.racy_flushes += s.racy_flushes;
-    agg.engine_ticks += s.engine_ticks;
-    agg.engine_aborts += s.engine_aborts;
-    agg.fingerprint_cache_hits += s.fingerprint_cache_hits;
-    agg.weak_hash_hits += s.weak_hash_hits;
-    agg.weak_hash_misses += s.weak_hash_misses;
-    agg.weak_collisions += s.weak_collisions;
-    agg.bloom_negative_hits += s.bloom_negative_hits;
-    agg.sha_computed += s.sha_computed;
-    agg.sha_avoided += s.sha_avoided;
-    agg.read_logical_bytes += s.read_logical_bytes;
-    agg.read_chunk_objects += s.read_chunk_objects;
-    agg.read_chunk_rpcs += s.read_chunk_rpcs;
-    agg.asm_window_opens += s.asm_window_opens;
-    agg.asm_hits += s.asm_hits;
-    agg.asm_prefetched_refs += s.asm_prefetched_refs;
-    agg.asm_wasted_refs += s.asm_wasted_refs;
-    agg.rewrite_runs += s.rewrite_runs;
-    agg.rewrite_chunks += s.rewrite_chunks;
-    agg.rewrite_bytes += s.rewrite_bytes;
-    agg.recipe_chunks += s.recipe_chunks;
-    agg.recipe_hits += s.recipe_hits;
-    agg.meta_txns += s.meta_txns;
-    agg.meta_bytes_baseline += s.meta_bytes_baseline;
-    agg.meta_bytes_actual += s.meta_bytes_actual;
+uint64_t Cluster::counter_sum(int idx, PoolId metadata_pool) const {
+  const bool osd_counter = idx > l_osd_first && idx < l_osd_last;
+  assert(osd_counter || (idx > l_tier_first && idx < l_tier_last));
+  uint64_t n = 0;
+  for (const auto& o : osds_) {
+    if (osd_counter) {
+      n += o->perf().get(idx);
+    } else if (const auto* t =
+                   static_cast<const DedupTier*>(o->tier(metadata_pool))) {
+      n += t->perf().get(idx);
+    }
   }
-  return agg;
+  return n;
 }
 
 OsdId Cluster::add_osd(NodeId host, double weight) {
@@ -326,10 +284,8 @@ SimTime Cluster::recover(uint64_t* objects_recovered,
 
   // Pre-pass for EC realignment: the decode + re-encode below is pure CPU
   // over store state that nothing mutates until the drive loop runs, so
-  // gather the shards and submit every rebuild to the exec pool up front,
-  // then join each one at its original position in the launch loop.  Same
-  // results in the same order; workers overlap the parity math with the
-  // rest of the scan.
+  // gather the shards and capture every rebuild up front, then run each
+  // one at its original position in the launch loop.
   struct EcPrep {
     uint64_t orig_len = 0;
     ObjectState donor;

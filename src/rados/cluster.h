@@ -33,12 +33,6 @@ struct ClusterConfig {
   // floor) cannot wedge the dedup engines.  0 keeps the legacy wait-forever
   // behaviour for latency-exact benches.
   SimTime op_timeout = 0;
-  // Worker threads for the real-byte kernels (fingerprint, CDC, CRC, EC,
-  // compression).  0 = take GDEDUP_EXEC_THREADS from the environment
-  // (default 1).  1 = serial: no workers, kernels run inline at the
-  // virtual completion exactly as before.  Any value produces the same
-  // determinism digest; only wall-clock changes.
-  int exec_threads = 0;
   // Event-engine shards (conservative parallel DES partitions).  0 = take
   // GDEDUP_SIM_SHARDS from the environment (default 1).  Any value
   // produces the same determinism digest — storage nodes spread round-
@@ -46,21 +40,11 @@ struct ClusterConfig {
   // actually run on worker threads is a separate switch
   // (GDEDUP_SIM_PARALLEL / Scheduler::set_parallel).
   int sim_shards = 0;
-  // Two-tier fingerprint fast path + chunk-refs metadata cache.  -1 =
-  // take GDEDUP_FP_FASTPATH from the environment (default on), 0 = off,
-  // 1 = on.  Either state produces the same determinism digest — the
-  // fast path avoids host-side SHA invocations and refs-xattr decode
-  // round trips, never virtual-time observables.
-  int fp_fastpath = -1;
-  // Forward-assembly restore cache: -1 = take GDEDUP_RESTORE_ASSEMBLY
-  // from the environment (default on), 0 = off, 1 = on.  Host-side only,
-  // digest-identical either way (see ClusterContext::restore_assembly).
-  int restore_assembly = -1;
   // Recipe-chunk metadata dedup + batched omap write path: -1 = take
   // GDEDUP_RECIPE_DEDUP from the environment (default OFF), 0 = off,
   // 1 = on.  Changes on-disk omap layout and chunk-pool traffic, so the
   // two states have *different* digests; each state is individually
-  // deterministic at any shards x threads (see DESIGN.md §14).
+  // deterministic at any shard count (see DESIGN.md §14).
   int recipe_dedup = -1;
   // OpTracker ring sizes.  0 = GDEDUP_OPS_HISTORY env / built-in defaults;
   // out-of-range values are validated loudly and clamped (see
@@ -139,6 +123,16 @@ class Cluster : public ClusterContext {
   ExecPool* exec_pool() override { return &exec_pool_; }
   bool fp_fastpath() const override { return fp_fastpath_; }
   bool restore_assembly() const override { return restore_assembly_; }
+
+  // Test hook: switch off the host-side fast paths to run the reference
+  // paths they must match digest for digest — every chunk SHA'd with no
+  // refs-xattr cache (fp_fastpath) and per-chunk restore reads with no
+  // assembly window (restore_assembly).  Both default on.  Call before
+  // any I/O.
+  void set_fast_paths_for_test(bool fp_fastpath, bool restore_assembly) {
+    fp_fastpath_ = fp_fastpath;
+    restore_assembly_ = restore_assembly;
+  }
   bool recipe_dedup() const override { return recipe_dedup_; }
   FingerprintIndex* fp_index(NodeId node) override;
 
@@ -166,8 +160,9 @@ class Cluster : public ClusterContext {
 
   DedupTier* tier_of(OsdId osd, PoolId metadata_pool);
 
-  // Aggregate tier stats across all OSDs for a dedup pool.
-  DedupTierStats tier_stats(PoolId metadata_pool);
+  // Cluster-wide sum of one perf counter: an l_osd_* index over every
+  // OSD, an l_tier_* index over the tiers serving `metadata_pool`.
+  uint64_t counter_sum(int idx, PoolId metadata_pool = -1) const;
 
   // --- expansion / rebalancing ---
   // Add a fresh OSD to an existing storage node at runtime.  Placement
@@ -217,7 +212,7 @@ class Cluster : public ClusterContext {
  private:
   ClusterConfig cfg_;
   Scheduler sched_;
-  // Declared before the OSDs: teardown may still hold kernel tokens in
+  // Declared before the OSDs: teardown may still hold kernel futures in
   // queued op closures, and the pool must outlive every future.
   ExecPool exec_pool_;
   // Observability: declared before the OSDs so entities can register at
@@ -234,8 +229,8 @@ class Cluster : public ClusterContext {
   std::map<OsdId, NodeId> osd_node_;
   // One fingerprint index per storage node, shared by that node's tiers
   // (thread-confined to the node's engine shard; see fingerprint_index.h).
-  bool fp_fastpath_;
-  bool restore_assembly_;
+  bool fp_fastpath_ = true;
+  bool restore_assembly_ = true;
   bool recipe_dedup_;
   std::vector<std::unique_ptr<FingerprintIndex>> node_fp_indexes_;
 };

@@ -55,9 +55,11 @@ struct Oracle {
   }
 };
 
-class ScheduleRunner {
+}  // namespace
+
+class FaultSchedule::Impl {
  public:
-  explicit ScheduleRunner(const FaultScheduleConfig& cfg)
+  explicit Impl(const FaultScheduleConfig& cfg)
       : cfg_(cfg), rng_(mix64(cfg.seed ^ 0x5eedface5eedfaceULL)) {
     ClusterConfig ccfg;
     ccfg.storage_nodes = cfg.storage_nodes;
@@ -112,6 +114,8 @@ class ScheduleRunner {
     finish();
     return res_;
   }
+
+  Cluster& cluster() { return *cluster_; }
 
  private:
   Scheduler& sched() { return cluster_->sched(); }
@@ -443,8 +447,7 @@ class ScheduleRunner {
   }
 
   void finish() {
-    const DedupTierStats ts = cluster_->tier_stats(meta_);
-    res_.engine_aborts = ts.engine_aborts;
+    res_.engine_aborts = cluster_->counter_sum(l_tier_engine_aborts, meta_);
     for (Osd* o : cluster_->osds()) {
       res_.injected_osd_crashes += o->injected_crashes();
     }
@@ -484,11 +487,14 @@ class ScheduleRunner {
   ScheduleResult res_;
 };
 
-}  // namespace
+FaultSchedule::FaultSchedule(const FaultScheduleConfig& cfg)
+    : impl_(std::make_unique<Impl>(cfg)) {}
+FaultSchedule::~FaultSchedule() = default;
+Cluster& FaultSchedule::cluster() { return impl_->cluster(); }
+ScheduleResult FaultSchedule::run() { return impl_->run(); }
 
 ScheduleResult run_fault_schedule(const FaultScheduleConfig& cfg) {
-  ScheduleRunner runner(cfg);
-  return runner.run();
+  return FaultSchedule(cfg).run();
 }
 
 CampaignSummary run_fault_campaign(const CampaignConfig& cfg) {

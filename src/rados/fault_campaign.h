@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,20 @@ struct ScheduleResult {
 };
 
 ScheduleResult run_fault_schedule(const FaultScheduleConfig& cfg);
+
+// One schedule whose cluster outlives run(): tests reach it before run()
+// (to switch fast paths off) and after (to read the final counters).
+class FaultSchedule {
+ public:
+  explicit FaultSchedule(const FaultScheduleConfig& cfg);
+  ~FaultSchedule();
+  Cluster& cluster();
+  ScheduleResult run();  // once
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 struct CampaignConfig {
   uint64_t first_seed = 1;

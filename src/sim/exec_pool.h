@@ -1,44 +1,34 @@
 #pragma once
 
-// Deterministic worker-pool offload for the real-byte kernels.
+// Deferred execution and host-time accounting for the real-byte kernels.
 //
-// The simulator carries real bytes, so fingerprinting, CDC chunking, CRC,
-// EC parity and compression cost host wall-clock even though their
-// *virtual* cost is already modelled by CpuModel::execute().  ExecPool
-// decouples the two: the event loop submits a pure kernel job at issue
-// time (when the virtual cost is charged) and joins its result inside the
-// scheduler callback that dispatches the virtual-time completion — never
-// earlier, never from a new event.  Host threads race ahead on the byte
-// work while virtual time advances exactly as in serial mode.
+// The simulator carries real bytes, so fingerprinting, CRC, EC parity and
+// compression cost host wall-clock even though their *virtual* cost is
+// already modelled by CpuModel::execute().  A kernel is captured at issue
+// time (when the virtual cost is charged) as a KernelFuture and run inside
+// the scheduler callback that dispatches its virtual-time completion —
+// never earlier, never from a new event, and never at all if that
+// completion never fires (a crashed OSD drops the callback and with it
+// the closure).  The closure is destroyed right after it runs, so Buffer
+// refcounts (observed by COW detach) drop at that same deterministic
+// point.
 //
-// Determinism contract (see DESIGN.md §8):
-//   * Jobs are pure: closures over immutable COW `common::Buffer` slices
-//     producing a result blob.  No scheduler, RNG, or perf-counter access
-//     from workers.
-//   * Joins piggyback *pre-existing* scheduler callbacks.  Thread count
-//     must never create, cancel or reorder events.
-//   * With threads <= 1 there are no workers at all: submit() defers the
-//     closure and join() runs it inline — byte-for-byte today's serial
-//     compute-at-completion path.
-//   * The closure is destroyed at join(), on the event-loop thread, in
-//     both modes, so Buffer refcounts (observed by COW detach) evolve
-//     identically regardless of worker timing.
+// Everything runs on the calling thread.  ExecPool only counts jobs and
+// host busy time per kernel (perfbench and bench_sim_e2e report them);
+// the counters are atomic because parallel shard windows call kernels
+// from several threads.  DESIGN.md §8 explains why nothing runs on
+// worker threads.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
-#include <vector>
 
 namespace gdedup {
 
-// The five offloadable kernels (plus CDC chunking split out from
+// The real-byte kernels (plus CDC chunking split out from
 // fingerprinting); indexes the per-kernel stats breakdown.
 enum class Kernel : int {
   kFingerprint = 0,
@@ -55,77 +45,29 @@ const char* kernel_name(Kernel k);
 
 class ExecPool {
  public:
-  // Job lifecycle: queued -> claimed (by a worker, or stolen by join) ->
-  // done.  The CAS from queued to claimed is what makes join() safe to
-  // call at any point relative to worker progress.
-  struct Job {
-    std::function<void()> fn;
-    std::atomic<int> state{0};  // kQueued / kClaimed / kDone
-    Kernel kernel = Kernel::kFingerprint;
-  };
-  using Token = std::shared_ptr<Job>;
-
   struct KernelStats {
     uint64_t jobs = 0;     // jobs submitted for this kernel
     uint64_t busy_ns = 0;  // host wall-clock spent executing them
   };
 
-  // threads <= 1 builds a serial pool: no worker threads are spawned and
-  // every job runs inline at join time.
-  explicit ExecPool(int threads = 1);
-
-  // Parallel pools drain: every submitted job has executed (and its
-  // result is visible) by the time the destructor returns.  Unjoined
-  // tokens stay valid — Job state is owned by shared_ptr — but join() on
-  // a destroyed pool is undefined; owners must outlive their futures.
-  ~ExecPool();
-
-  ExecPool(const ExecPool&) = delete;
-  ExecPool& operator=(const ExecPool&) = delete;
-
-  // GDEDUP_EXEC_THREADS, clamped to [1, 64]; default 1 (serial).
-  static int env_threads();
-
-  int threads() const { return threads_; }
-  bool parallel() const { return !workers_.empty(); }
-
-  // Submit a pure job.  In parallel mode a worker may start it
-  // immediately, so everything it reads must already be immutable.
-  Token submit(Kernel k, std::function<void()> fn);
-
-  // Block until the job has run (stealing it onto the caller if no worker
-  // claimed it yet), then destroy the closure.  Event-loop thread only.
-  void join(const Token& t);
-
-  KernelStats kernel_stats(Kernel k) const;
-  // Jobs that actually ran on a worker thread (0 in serial mode).
-  uint64_t jobs_offloaded() const {
-    return jobs_offloaded_.load(std::memory_order_relaxed);
+  // Count one job submitted for `k` (whether or not it ever runs).
+  void submit(Kernel k) {
+    kernel_jobs_[static_cast<int>(k)].fetch_add(1, std::memory_order_relaxed);
   }
 
+  // Run `fn` on the caller, charging its host time to `k`.
+  void run(Kernel k, const std::function<void()>& fn);
+
+  KernelStats kernel_stats(Kernel k) const;
+
  private:
-  enum : int { kQueued = 0, kClaimed = 1, kDone = 2 };
-
-  void worker_loop();
-  void run_job(Job& j);
-
-  int threads_ = 1;
-  std::vector<std::thread> workers_;
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // workers wait for queue / stop
-  std::condition_variable done_cv_;  // join waits for a claimed job
-  std::deque<Token> queue_;
-  bool stop_ = false;
-
-  std::atomic<uint64_t> jobs_offloaded_{0};
   std::atomic<uint64_t> kernel_jobs_[static_cast<int>(Kernel::kCount)] = {};
   std::atomic<uint64_t> kernel_busy_ns_[static_cast<int>(Kernel::kCount)] = {};
 };
 
-// Typed future over an ExecPool job.  Handles the null-pool case (unit
-// fixtures without a cluster) with the same deferred-to-take semantics as
-// a serial pool, so call sites read identically everywhere.
+// A kernel captured now and run at take().  With a null pool (unit
+// fixtures without a cluster) the job runs the same way, uncounted.
+// Copies share one closure, so take() on any of them destroys it for all.
 template <typename T>
 class KernelFuture {
  public:
@@ -133,42 +75,33 @@ class KernelFuture {
 
   template <typename Fn>
   KernelFuture(ExecPool* pool, Kernel k, Fn fn)
-      : out_(std::make_shared<std::optional<T>>()) {
-    auto out = out_;
-    std::function<void()> job = [out, fn = std::move(fn)]() mutable {
-      out->emplace(fn());
-    };
-    if (pool != nullptr) {
-      pool_ = pool;
-      token_ = pool->submit(k, std::move(job));
-    } else {
-      inline_ = std::move(job);
-    }
+      : job_(std::make_shared<std::function<T()>>(std::move(fn))),
+        pool_(pool),
+        kernel_(k) {
+    if (pool_ != nullptr) pool_->submit(k);
   }
 
-  bool valid() const { return out_ != nullptr; }
+  bool valid() const { return job_ != nullptr; }
 
-  // Join (or run inline) and move the result out.  Call exactly once, on
-  // the event-loop thread, inside the virtual-time completion callback.
+  // Run the job, destroy its closure and move the result out.  Call
+  // exactly once, inside the virtual-time completion callback.
   T take() {
+    std::optional<T> out;
+    auto run = [&] { out.emplace((*job_)()); };
     if (pool_ != nullptr) {
-      pool_->join(token_);
-      token_.reset();
-      pool_ = nullptr;
-    } else if (inline_) {
-      inline_();
-      inline_ = nullptr;
+      pool_->run(kernel_, run);
+    } else {
+      run();
     }
-    T v = std::move(**out_);
-    out_.reset();
-    return v;
+    *job_ = nullptr;
+    job_.reset();
+    return std::move(*out);
   }
 
  private:
-  std::shared_ptr<std::optional<T>> out_;
+  std::shared_ptr<std::function<T()>> job_;
   ExecPool* pool_ = nullptr;
-  ExecPool::Token token_;
-  std::function<void()> inline_;
+  Kernel kernel_ = Kernel::kFingerprint;
 };
 
 template <typename T, typename Fn>

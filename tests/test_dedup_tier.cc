@@ -162,12 +162,12 @@ TEST(DedupTier, RewriteSameContentIsNoopFlush) {
   Buffer data = random_buffer(kChunk, 10);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto stats1 = h.cluster->tier_stats(h.meta);
+  const uint64_t flushed1 = h.tier(l_tier_chunks_flushed);
+  const uint64_t noops1 = h.tier(l_tier_noop_flushes);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());  // identical rewrite
   ASSERT_TRUE(h.drain());
-  const auto stats2 = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(stats2.chunks_flushed, stats1.chunks_flushed);  // no new put
-  EXPECT_GT(stats2.noop_flushes, stats1.noop_flushes);
+  EXPECT_EQ(h.tier(l_tier_chunks_flushed), flushed1);  // no new put
+  EXPECT_GT(h.tier(l_tier_noop_flushes), noops1);
   EXPECT_TRUE(h.refcounts_consistent());
 }
 
@@ -180,11 +180,10 @@ TEST(DedupTier, NoopReflushHitsFingerprintCache) {
   Buffer data = random_buffer(kChunk, 10);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto stats1 = h.cluster->tier_stats(h.meta);
+  const uint64_t hits1 = h.tier(l_tier_fingerprint_cache_hits);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto stats2 = h.cluster->tier_stats(h.meta);
-  EXPECT_GT(stats2.fingerprint_cache_hits, stats1.fingerprint_cache_hits);
+  EXPECT_GT(h.tier(l_tier_fingerprint_cache_hits), hits1);
   EXPECT_TRUE(h.refcounts_consistent());
 }
 
@@ -219,10 +218,10 @@ TEST(DedupTier, PartialWriteAfterEvictionMergesInBackground) {
   // entry goes to Figure 8's cached=false/dirty=true state); the missing
   // half is merged from the chunk pool by the background flush.
   Buffer patch = random_buffer(16 * 1024, 12);
-  const auto before = h.cluster->tier_stats(h.meta);
+  const uint64_t prereads0 = h.tier(l_tier_prereads);
+  const uint64_t merges0 = h.tier(l_tier_flush_merges);
   ASSERT_TRUE(h.write("obj", 0, patch).is_ok());
-  const auto after = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after.prereads, before.prereads);  // foreground stayed clean
+  EXPECT_EQ(h.tier(l_tier_prereads), prereads0);  // foreground stayed clean
 
   const OsdId primary = h.cluster->osdmap().primary(h.meta, "obj");
   {
@@ -241,8 +240,7 @@ TEST(DedupTier, PartialWriteAfterEvictionMergesInBackground) {
   EXPECT_TRUE(r->content_equals(expect));
 
   ASSERT_TRUE(h.drain());
-  const auto drained = h.cluster->tier_stats(h.meta);
-  EXPECT_GT(drained.flush_merges, before.flush_merges);
+  EXPECT_GT(h.tier(l_tier_flush_merges), merges0);
   r = h.read("obj", 0, 0);
   ASSERT_TRUE(r.is_ok());
   EXPECT_TRUE(r->content_equals(expect));
@@ -253,27 +251,22 @@ TEST(DedupTier, FullChunkOverwriteSkipsPreread) {
   DedupHarness h(test_tier_config());
   ASSERT_TRUE(h.write("obj", 0, random_buffer(kChunk, 13)).is_ok());
   ASSERT_TRUE(h.drain());
-  const auto before = h.cluster->tier_stats(h.meta);
+  const uint64_t prereads0 = h.tier(l_tier_prereads);
   ASSERT_TRUE(h.write("obj", 0, random_buffer(kChunk, 14)).is_ok());
-  const auto after = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after.prereads, before.prereads);
+  EXPECT_EQ(h.tier(l_tier_prereads), prereads0);
 }
 
 TEST(DedupTier, ReadRedirectionCountsChunks) {
   DedupHarness h(test_tier_config());
   Buffer data = random_buffer(4 * kChunk, 15);
   ASSERT_TRUE(h.write("obj", 0, data).is_ok());
-  const auto cached = h.cluster->tier_stats(h.meta);
+  const uint64_t cached0 = h.tier(l_tier_cached_read_chunks);
   ASSERT_TRUE(h.read("obj", 0, 0).is_ok());
-  const auto after_cached_read = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after_cached_read.cached_read_chunks - cached.cached_read_chunks,
-            4u);
+  EXPECT_EQ(h.tier(l_tier_cached_read_chunks) - cached0, 4u);
+  const uint64_t redirected0 = h.tier(l_tier_redirected_read_chunks);
   ASSERT_TRUE(h.drain());
   ASSERT_TRUE(h.read("obj", 0, 0).is_ok());
-  const auto after_remote_read = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after_remote_read.redirected_read_chunks -
-                after_cached_read.redirected_read_chunks,
-            4u);
+  EXPECT_EQ(h.tier(l_tier_redirected_read_chunks) - redirected0, 4u);
 }
 
 TEST(DedupTier, RedirectedReadIsSlowerThanCached) {
@@ -327,7 +320,7 @@ TEST(DedupTier, HotObjectNotDeduplicated) {
   ASSERT_GT(cm->size(), 0u);
   EXPECT_TRUE(cm->find(0)->dirty);
   EXPECT_TRUE(cm->find(0)->cached);
-  EXPECT_GT(h.cluster->tier_stats(h.meta).hot_skips, 0u);
+  EXPECT_GT(h.tier(l_tier_hot_skips), 0u);
 }
 
 TEST(DedupTier, HotObjectFlushedAfterCooling) {
@@ -362,7 +355,7 @@ TEST(DedupTier, PromoteOnHotRead) {
   // Repeated reads heat the object; promotion caches it again.
   for (int i = 0; i < 3; i++) ASSERT_TRUE(h.read("obj", 0, 0).is_ok());
   h.cluster->sched().run_for(sec(2));
-  EXPECT_GT(h.cluster->tier_stats(h.meta).promotions, 0u);
+  EXPECT_GT(h.tier(l_tier_promotions), 0u);
   const OsdId primary = h.cluster->osdmap().primary(h.meta, "obj");
   ChunkMap cm0 = testutil::load_map_at(*h.cluster, primary, h.meta, "obj");
   auto* cm = &cm0;
@@ -463,13 +456,12 @@ TEST(DedupTier, InlinePartialWritePaysRmw) {
   ASSERT_TRUE(h.write("obj", 0, random_buffer(kChunk, 28)).is_ok());
 
   // The Figure 5(a) pathology: 16KB write into a 32KB chunk.
-  const auto before = h.cluster->tier_stats(h.meta);
+  const uint64_t prereads0 = h.tier(l_tier_prereads);
   const SimTime t0 = h.cluster->sched().now();
   Buffer patch = random_buffer(16 * 1024, 29);
   ASSERT_TRUE(h.write("obj", 16 * 1024, patch).is_ok());
   const SimTime inline_lat = h.cluster->sched().now() - t0;
-  const auto after = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(after.prereads, before.prereads + 1);
+  EXPECT_EQ(h.tier(l_tier_prereads), prereads0 + 1);
 
   // Same pattern under post-processing: far cheaper foreground latency.
   auto pp = test_tier_config();
@@ -545,8 +537,7 @@ TEST(DedupTier, ManyObjectsManyChunksStress) {
   // Only 8 distinct chunk contents were used, so cross-object dedup is
   // heavy: at most 8 chunk objects despite dozens of logical chunks.
   EXPECT_LE(h.chunk_object_count(), 8u);
-  const auto ts = h.cluster->tier_stats(h.meta);
-  EXPECT_GT(ts.chunks_flushed, h.chunk_object_count());
+  EXPECT_GT(h.tier(l_tier_chunks_flushed), h.chunk_object_count());
 }
 
 }  // namespace

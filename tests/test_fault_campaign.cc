@@ -111,6 +111,37 @@ TEST(FaultCampaign, CampaignAggregates) {
   EXPECT_FALSE(sum.to_string().empty());
 }
 
+TEST(FaultCampaign, CounterSumMatchesPerTierRegistry) {
+  // Cluster::counter_sum over a pool's tiers must equal the sum of the
+  // per-tier registry entities for every declared l_tier_* index —
+  // including the crash-only counters (degraded_pulls, orphan_adoptions)
+  // that an ordinary run leaves at zero.  Run schedules until one pulls
+  // a degraded object, checking every schedule on the way.
+  uint64_t degraded = 0;
+  for (uint64_t seed = 1; seed <= 16 && degraded == 0; seed++) {
+    FaultSchedule sched(schedule_config_for_seed(seed));
+    const ScheduleResult r = sched.run();
+    EXPECT_TRUE(r.clean()) << "seed " << seed << "\n" << r.report;
+    Cluster& c = sched.cluster();
+    const PoolId meta = c.osdmap().pool_by_name("meta").value();
+    const std::string suffix = ".pool" + std::to_string(meta);
+    for (int idx = l_tier_first + 1; idx < l_tier_last; idx++) {
+      uint64_t per_tier = 0;
+      for (const auto& pc : c.perf_registry()->sorted()) {
+        const std::string& n = pc->name();
+        if (n.rfind("tier.", 0) == 0 && n.size() >= suffix.size() &&
+            n.compare(n.size() - suffix.size(), suffix.size(), suffix) == 0) {
+          per_tier += pc->get(idx);
+        }
+      }
+      EXPECT_EQ(c.counter_sum(idx, meta), per_tier)
+          << "seed " << seed << " counter index " << idx;
+    }
+    degraded = c.counter_sum(l_tier_degraded_pulls, meta);
+  }
+  EXPECT_GT(degraded, 0u) << "no schedule pulled a degraded object";
+}
+
 TEST(FaultCampaign, InvariantCheckerFlagsPlantedDamage) {
   // The referee must actually referee: plant an unreachable chunk and a
   // truncated object in an otherwise-clean cluster and expect violations.

@@ -336,7 +336,7 @@ TEST(ObservabilityCluster, TracesCoverWriteFlushRead) {
   EXPECT_TRUE(saw_read);
 }
 
-TEST(ObservabilityCluster, CountersBackCompatStatViews) {
+TEST(ObservabilityCluster, TierCountersAreRegistryEntities) {
   ClusterConfig cfg;
   cfg.storage_nodes = 2;
   cfg.osds_per_node = 2;
@@ -345,16 +345,12 @@ TEST(ObservabilityCluster, CountersBackCompatStatViews) {
   PoolId meta = -1;
   run_traced_workload(c, &meta);
 
-  // The compat stat views are rebuilt from the counters; cross-check a
-  // few fields directly against the registry.
+  // A tier's perf() is the entity the registry holds, not a copy.
   DedupTier* tier = c.tier_of(0, meta);
   ASSERT_NE(tier, nullptr);
   auto pc = c.perf_registry()->get("tier.osd0.pool" + std::to_string(meta));
   ASSERT_NE(pc, nullptr);
-  const DedupTierStats& s = tier->stats();
-  EXPECT_EQ(s.writes, pc->get(l_tier_writes));
-  EXPECT_EQ(s.chunks_flushed, pc->get(l_tier_chunks_flushed));
-  EXPECT_EQ(s.flush_bytes, pc->get(l_tier_flush_bytes));
+  EXPECT_EQ(&tier->perf(), pc.get());
 
   // Per-stage latency histograms populated by the cycle.
   const Histogram* wl = pc->histogram(l_tier_write_lat);

@@ -110,37 +110,6 @@ TEST(RatioAnalyzer, PlacementBalanced) {
   }
 }
 
-TEST(RatioAnalyzer, PooledScanMatchesSerial) {
-  // Chunk scans offloaded to exec-pool workers must report exactly the
-  // ratios of the inline serial path: the analyzer drains pending scans in
-  // submission order, so worker count cannot reorder the accounting.
-  OsdMap m = make_map(16);
-  RatioAnalyzer serial(&m, 0, 8192);
-  ExecPool pool(4);
-  RatioAnalyzer pooled(&m, 0, 8192, FingerprintAlgo::kSha256, &pool);
-
-  workload::FioConfig fc;
-  fc.total_bytes = 8ull << 20;
-  fc.block_size = 8192;
-  fc.dedupe_ratio = 0.4;
-  workload::FioGenerator gen(fc);
-  for (uint64_t i = 0; i < gen.num_blocks(); i++) {
-    const std::string oid = "b" + std::to_string(i);
-    serial.add_object(oid, gen.block(i));
-    pooled.add_object(oid, gen.block(i));
-  }
-
-  EXPECT_EQ(serial.global().logical_bytes, pooled.global().logical_bytes);
-  EXPECT_EQ(serial.global().unique_bytes, pooled.global().unique_bytes);
-  EXPECT_EQ(serial.local().unique_bytes, pooled.local().unique_bytes);
-  ASSERT_EQ(serial.per_osd().size(), pooled.per_osd().size());
-  for (const auto& [osd, rep] : serial.per_osd()) {
-    const auto& prep = pooled.per_osd().at(osd);
-    EXPECT_EQ(rep.logical_bytes, prep.logical_bytes);
-    EXPECT_EQ(rep.unique_bytes, prep.unique_bytes);
-  }
-}
-
 TEST(RatioAnalyzer, MatchesRealSystemStoredBytes) {
   // Cross-check: the analyzer's predicted unique bytes equal what the real
   // dedup pipeline actually stores in the chunk pool (per replica).

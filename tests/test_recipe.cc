@@ -10,7 +10,7 @@
 // chunks that deduplicate across objects, inline overlays win over recipe
 // content, shrinks and removes release recipe chunks through the ordinary
 // ref/GC machinery; and the recipe-mode determinism digest is
-// shard/thread-count invariant (it is a *different* digest from default
+// shard-count invariant (it is a *different* digest from default
 // mode — recipe chunks are real chunk-pool traffic).
 
 #include "dedup/recipe.h"
@@ -390,11 +390,11 @@ TEST(RecipeMode, CompactionCreatesRecipesAndDropsInlineRecords) {
   EXPECT_TRUE(r->content_equals(data));
   EXPECT_TRUE(h.refcounts_consistent());
 
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.recipe_chunks, 2u);
+  EXPECT_EQ(h.tier(l_tier_recipe_chunks), 2u);
   // Batched omap writes + packed/id-less records: actually-written
   // metadata bytes undercut the fixed-150B baseline.
-  EXPECT_GT(s.meta_bytes_baseline, s.meta_bytes_actual);
+  EXPECT_GT(h.tier(l_tier_meta_bytes_baseline),
+            h.tier(l_tier_meta_bytes_actual));
 }
 
 TEST(RecipeMode, SingleSlotWindowStaysInline) {
@@ -407,7 +407,7 @@ TEST(RecipeMode, SingleSlotWindowStaysInline) {
   ASSERT_EQ(cm.size(), 1u);
   EXPECT_TRUE(cm.recipes().empty());
   EXPECT_TRUE(cm.entries().begin()->second.inline_rec);
-  EXPECT_EQ(h.cluster->tier_stats(h.meta).recipe_chunks, 0u);
+  EXPECT_EQ(h.tier(l_tier_recipe_chunks), 0u);
   EXPECT_TRUE(h.refcounts_consistent());
 }
 
@@ -501,12 +501,11 @@ TEST(RecipeMode, IdenticalObjectsShareRecipeChunks) {
   ASSERT_TRUE(h.write("tenant-b", 0, data).is_ok());
   ASSERT_TRUE(h.drain());
 
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
   // Four recipe puts total (two windows per object).  At least one dedups
   // against its twin; the exact created/hit split depends on flush
   // interleaving (both flushes may probe before either put lands).
-  EXPECT_EQ(s.recipe_chunks + s.recipe_hits, 4u);
-  EXPECT_GE(s.recipe_hits, 1u);
+  EXPECT_EQ(h.tier(l_tier_recipe_chunks) + h.tier(l_tier_recipe_hits), 4u);
+  EXPECT_GE(h.tier(l_tier_recipe_hits), 1u);
   // Chunk pool holds 8 data chunks + 2 recipe chunks, each doubly held.
   EXPECT_EQ(h.chunk_object_count(), 10u);
   EXPECT_TRUE(h.refcounts_consistent());
@@ -529,15 +528,15 @@ TEST(RecipeMode, OffModeWritesNoRecipes) {
   ChunkMap cm = load_map_at(*h.cluster, meta_primary(h, "obj"), h.meta, "obj");
   EXPECT_EQ(cm.size(), 8u);
   EXPECT_TRUE(cm.recipes().empty());
-  const DedupTierStats s = h.cluster->tier_stats(h.meta);
-  EXPECT_EQ(s.recipe_chunks, 0u);
-  EXPECT_EQ(s.recipe_hits, 0u);
-  EXPECT_EQ(s.meta_bytes_baseline, s.meta_bytes_actual);
+  EXPECT_EQ(h.tier(l_tier_recipe_chunks), 0u);
+  EXPECT_EQ(h.tier(l_tier_recipe_hits), 0u);
+  EXPECT_EQ(h.tier(l_tier_meta_bytes_baseline),
+            h.tier(l_tier_meta_bytes_actual));
 }
 
-// --- Determinism: recipe mode has its own shard/thread-stable digest ---
+// --- Determinism: recipe mode has its own shard-stable digest ---
 
-TEST(RecipeDeterminism, DigestInvariantAcrossShardsAndThreads) {
+TEST(RecipeDeterminism, DigestInvariantAcrossShards) {
   bench::SimE2eConfig cfg;
   cfg.storage_nodes = 2;
   cfg.osds_per_node = 2;
@@ -549,7 +548,6 @@ TEST(RecipeDeterminism, DigestInvariantAcrossShardsAndThreads) {
   cfg.dedupe = 0.9;
 
   cfg.recipe_dedup = 0;
-  cfg.exec_threads = 1;
   cfg.sim_shards = 1;
   const bench::SimE2eResult off = bench::run_sim_e2e(cfg);
   EXPECT_TRUE(off.drained);
@@ -557,21 +555,17 @@ TEST(RecipeDeterminism, DigestInvariantAcrossShardsAndThreads) {
   cfg.recipe_dedup = 1;
   std::string base_digest;
   for (int shards : {1, 4}) {
-    for (int threads : {1, 8}) {
-      cfg.sim_shards = shards;
-      cfg.exec_threads = threads;
-      const bench::SimE2eResult on = bench::run_sim_e2e(cfg);
-      const std::string at = "shards=" + std::to_string(shards) +
-                             " threads=" + std::to_string(threads);
-      EXPECT_TRUE(on.drained) << at;
-      if (base_digest.empty()) {
-        base_digest = on.digest;
-        // Recipe mode is NOT digest-neutral: it adds real chunk-pool
-        // objects and traffic, so it owns a separate digest lineage.
-        EXPECT_NE(on.digest, off.digest);
-      } else {
-        EXPECT_EQ(on.digest, base_digest) << at;
-      }
+    cfg.sim_shards = shards;
+    const bench::SimE2eResult on = bench::run_sim_e2e(cfg);
+    const std::string at = "shards=" + std::to_string(shards);
+    EXPECT_TRUE(on.drained) << at;
+    if (base_digest.empty()) {
+      base_digest = on.digest;
+      // Recipe mode is NOT digest-neutral: it adds real chunk-pool
+      // objects and traffic, so it owns a separate digest lineage.
+      EXPECT_NE(on.digest, off.digest);
+    } else {
+      EXPECT_EQ(on.digest, base_digest) << at;
     }
   }
 }

@@ -4,7 +4,7 @@
 //
 //   1. Sampled, never digested — running the TelemetryEngine must not move
 //      the determinism digest by a byte, at any (sampling on/off) x
-//      (sim shards) x (exec threads) combination, because the sampling
+//      (sim shards) combination, because the sampling
 //      tick is a control-lane event that only *reads* cluster state.
 //   2. The watchdog's default rules stay silent on a healthy
 //      rate-controlled cluster and demonstrably fire when the
@@ -82,7 +82,7 @@ obs::PerfCountersRef make_test_counters(const std::string& name) {
 // ---------------------------------------------------------------------------
 // Acceptance: sampling is invisible to the determinism digest.
 
-TEST(Telemetry, DigestInvariantAcrossSamplingShardsThreads) {
+TEST(Telemetry, DigestInvariantAcrossSamplingShards) {
   bench::SimE2eConfig cfg;
   cfg.storage_nodes = 4;
   cfg.osds_per_node = 4;
@@ -93,32 +93,27 @@ TEST(Telemetry, DigestInvariantAcrossSamplingShardsThreads) {
   cfg.random_reads = 128;
 
   cfg.sim_shards = 1;
-  cfg.exec_threads = 1;
   cfg.telemetry = 0;
   const bench::SimE2eResult base = bench::run_sim_e2e(cfg);
   ASSERT_TRUE(base.drained);
   EXPECT_EQ(base.telemetry_ticks, 0u);
 
   for (int shards : {1, 4}) {
-    for (int threads : {1, 8}) {
-      for (SimTime telemetry : {SimTime(0), SimTime(100'000'000)}) {
-        cfg.sim_shards = shards;
-        cfg.exec_threads = threads;
-        cfg.telemetry = telemetry;
-        const bench::SimE2eResult r = bench::run_sim_e2e(cfg);
-        EXPECT_EQ(r.digest, base.digest)
-            << "diverged at shards=" << shards << " threads=" << threads
-            << " telemetry=" << telemetry;
-        EXPECT_EQ(r.sim_duration, base.sim_duration);
-        if (telemetry > 0) {
-          // The sampler really ran — its ticks are real (counted) control
-          // events, they just leave no trace in the digest.
-          EXPECT_GT(r.telemetry_ticks, 0u);
-          EXPECT_EQ(r.events, base.events + r.telemetry_ticks);
-        } else {
-          EXPECT_EQ(r.telemetry_ticks, 0u);
-          EXPECT_EQ(r.events, base.events);
-        }
+    for (SimTime telemetry : {SimTime(0), SimTime(100'000'000)}) {
+      cfg.sim_shards = shards;
+      cfg.telemetry = telemetry;
+      const bench::SimE2eResult r = bench::run_sim_e2e(cfg);
+      EXPECT_EQ(r.digest, base.digest)
+          << "diverged at shards=" << shards << " telemetry=" << telemetry;
+      EXPECT_EQ(r.sim_duration, base.sim_duration);
+      if (telemetry > 0) {
+        // The sampler really ran — its ticks are real (counted) control
+        // events, they just leave no trace in the digest.
+        EXPECT_GT(r.telemetry_ticks, 0u);
+        EXPECT_EQ(r.events, base.events + r.telemetry_ticks);
+      } else {
+        EXPECT_EQ(r.telemetry_ticks, 0u);
+        EXPECT_EQ(r.events, base.events);
       }
     }
   }

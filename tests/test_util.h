@@ -85,6 +85,8 @@ struct DedupHarness {
     return sync_read(*cluster, *client, meta, oid, off, len);
   }
   bool drain() { return cluster->drain_dedup(); }
+  // Sum of tier counter `idx` (an l_tier_* index) over the meta pool.
+  uint64_t tier(int idx) const { return cluster->counter_sum(idx, meta); }
 
   // Total refcount entries across all chunk objects (from primary copies).
   uint64_t total_chunk_refs() {
