@@ -2,8 +2,8 @@
 // calibrated costs drive the simulator — fingerprint hashing, rolling
 // hash, chunking (fixed vs CDC — the Section 5 trade-off), LZ codec,
 // Reed-Solomon, CRUSH selection, OsdMap acting-set lookup, bloom filters,
-// chunk-map codec — plus a double-hashing-vs-fingerprint-index lookup
-// comparison.
+// chunk-map codec, object-store transactions and extent reads — plus a
+// double-hashing-vs-fingerprint-index lookup comparison.
 //
 // Extra modes (bypass google-benchmark):
 //   --pipeline_json=PATH  run the content-pipeline suite (live vs frozen
@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string_view>
 #include <unordered_map>
@@ -34,6 +35,7 @@
 #include "hash/rabin.h"
 #include "hash/sha1.h"
 #include "hash/sha256.h"
+#include "osd/object_store.h"
 #include "reference_impls.h"
 #include "sim_e2e_scenario.h"
 #include "workload/content.h"
@@ -226,6 +228,55 @@ void BM_ChunkMapCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChunkMapCodec)->Arg(16)->Arg(128)->Arg(1024);
+
+// What every flush, chunk put, deref and replica write pays in the object
+// store: apply() of a 1-3-op transaction (write, refs xattr, omap entry)
+// on one object of a store holding 10k objects with chunk-style OIDs.
+void BM_ObjectStoreApply(benchmark::State& state) {
+  const int ops = static_cast<int>(state.range(0));
+  ObjectStore st;
+  std::vector<ObjectKey> keys;
+  Rng rng(11);
+  for (int i = 0; i < 10000; i++) {
+    Buffer b(64);
+    rng.fill(b.mutable_data(), b.size());
+    keys.push_back(
+        {1, Fingerprint::compute(FingerprintAlgo::kSha256, b.span()).hex()});
+    Transaction t;
+    t.write(keys.back(), 0, Buffer(4096, 1));
+    if (!st.apply(t).is_ok()) std::abort();
+  }
+  const Buffer data = test_data(4096);
+  const Buffer value = test_data(64);
+  size_t i = 0;
+  for (auto _ : state) {
+    const ObjectKey& k = keys[(i++ * 7919) % keys.size()];
+    Transaction t;
+    t.write(k, 0, data);
+    if (ops > 1) t.setxattr(k, "refs", value);
+    if (ops > 2) t.omap_set(k, "entry", value);
+    benchmark::DoNotOptimize(st.apply(t));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ObjectStoreApply)->Arg(1)->Arg(2)->Arg(3);
+
+// A read across several extents with holes between them: the assembled
+// copy every partially evicted or overwritten object read pays.
+void BM_ExtentMapRead(benchmark::State& state) {
+  ExtentMap em;
+  const Buffer data = test_data(1 << 20);
+  // 32 KiB extents with 8 KiB holes between them over 1 MiB.
+  for (uint64_t off = 0; off + 32768 <= data.size(); off += 40960) {
+    em.write(off, data.slice(off, 32768));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(em.read(4096, (1 << 20) - 8192));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          ((1 << 20) - 8192));
+}
+BENCHMARK(BM_ExtentMapRead);
 
 // Ablation: duplicate lookup via double hashing (placement function only,
 // no index) vs a conventional in-memory fingerprint index.

@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gdedup {
@@ -24,13 +25,18 @@ class Buffer {
   Buffer() = default;
 
   explicit Buffer(size_t len, uint8_t fill = 0)
-      : store_(std::make_shared<std::vector<uint8_t>>(len, fill)),
+      : store_(std::make_shared<Bytes>(len, fill)),
         off_(0),
         len_(len),
         gen_(next_generation()) {}
 
+  // Fresh storage of `len` bytes that are NOT zero-filled.  Only for a
+  // caller that writes every byte (through mutable_data()) before any
+  // byte can be read — see DESIGN.md §16.
+  static Buffer uninitialized(size_t len);
+
   static Buffer copy_of(const void* data, size_t len) {
-    Buffer b(len);
+    Buffer b = uninitialized(len);
     if (len > 0) std::memcpy(b.mutable_data(), data, len);
     return b;
   }
@@ -60,10 +66,12 @@ class Buffer {
   // Zero-copy sub-slice [off, off+len).  Clamped to bounds.
   Buffer slice(size_t off, size_t len) const;
 
-  // Value concatenation (copies both sides into fresh storage).
+  // Value concatenation (copies every part into fresh storage).
   static Buffer concat(const Buffer& a, const Buffer& b);
+  static Buffer concat(std::span<const Buffer> parts);
 
-  // Overwrite [off, off+src.size()) with src, growing if needed.
+  // Overwrite [off, off+src.size()) with src, growing if needed (a gap
+  // between the old end and `off` reads as zeros).
   void write_at(size_t off, const Buffer& src);
 
   // Grow (zero-filled) or shrink to `len`.
@@ -91,8 +99,9 @@ class Buffer {
   //
   // generation() is bumped from a global monotonic counter on every event
   // that can change the bytes this Buffer exposes: fresh-storage
-  // construction, mutable_data(), resize().  slice() inherits the parent's
-  // generation (a slice's bytes are stable until someone detaches).  Two
+  // construction, mutable_data(), write_at(), resize().  slice() inherits
+  // the parent's generation (a slice's bytes are stable until someone
+  // detaches).  Two
   // Buffers with equal (data(), size(), generation()) are guaranteed to
   // hold identical bytes: generations are globally unique per mutation
   // event, so a recycled allocation at the same address can never collide
@@ -101,10 +110,29 @@ class Buffer {
   const void* storage_id() const { return store_.get(); }
 
  private:
-  void detach();  // ensure sole ownership of exactly [off_, off_+len_)
+  // Leaves the bytes a resize adds uninitialized (value-initialization
+  // would zero them): every caller either overwrites them at once or
+  // zero-fills what must read as zeros.
+  struct DefaultInitAlloc : std::allocator<uint8_t> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAlloc;
+    };
+    void construct(uint8_t* p) { ::new (static_cast<void*>(p)) uint8_t; }
+    template <typename... Args>
+    void construct(uint8_t* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) uint8_t(std::forward<Args>(args)...);
+    }
+  };
+  using Bytes = std::vector<uint8_t, DefaultInitAlloc>;
+
+  // Ensure sole ownership of storage holding exactly `len` bytes, the
+  // first min(len, len_) of them this buffer's current bytes; any bytes
+  // past the old length are uninitialized.
+  void own(size_t len);
   static uint64_t next_generation();
 
-  std::shared_ptr<std::vector<uint8_t>> store_;
+  std::shared_ptr<Bytes> store_;
   size_t off_ = 0;
   size_t len_ = 0;
   uint64_t gen_ = 0;

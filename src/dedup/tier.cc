@@ -1164,7 +1164,10 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
         w.stamp = map_mutation_stamp_;
         w.win_begin = off;
         w.win_end = wend;
-        w.buf = std::make_shared<Buffer>(wend - off);
+        // Taken once; each byte is written by the one read covering it
+        // before that read's reply slices it.
+        w.buf = Buffer::uninitialized(wend - off);
+        w.base = w.buf.mutable_data();
         w.planned = 0;
         w.consumed = 0;
         for (uint64_t c = first; c < wend; c += cs) {
@@ -1180,9 +1183,11 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       win = &w;
     }
   }
-  // Completions write through the shared buffer, never through `win`:
-  // the window may close (or the map rehash) while RPCs are in flight.
-  std::shared_ptr<Buffer> wbuf = win != nullptr ? win->buf : nullptr;
+  // Completions copy into the window's storage through `wbase`, never
+  // through `win`: the window may close (or the map rehash) while RPCs are
+  // in flight, so each completion holds `wbuf` to keep the storage alive.
+  const Buffer wbuf = win != nullptr ? win->buf : Buffer();
+  uint8_t* const wbase = win != nullptr ? win->base : nullptr;
   const uint64_t woff = win != nullptr ? win->win_begin : 0;
 
   // Build segments: coalesced local spans, per-chunk remote reads.
@@ -1260,7 +1265,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
   g->outstanding = static_cast<int>(segs.size());
   // Weak self-reference: see post_process_write's `proceed`.
   std::weak_ptr<Gather> gw = g;
-  g->done = [this, gw, op, attempt, wbuf, woff, off, len,
+  g->done = [this, gw, op, attempt, wbuf, wbase, woff, off, len,
              reply = std::move(reply)](Status s) mutable {
     auto g = gw.lock();
     if (!g) return;
@@ -1278,21 +1283,14 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       return;
     }
     Buffer out;
-    if (wbuf) {
+    if (wbase != nullptr) {
       // Every part of this read landed in the window buffer; the reply is
       // a zero-copy slice of it (no per-read concat allocation).
-      out = wbuf->slice(off - woff, len);
+      out = wbuf.slice(off - woff, len);
     } else if (g->parts.size() == 1) {
       out = std::move(g->parts[0]);
     } else {
-      size_t total = 0;
-      for (const auto& p : g->parts) total += p.size();
-      out.resize(total);
-      size_t pos = 0;
-      for (const auto& p : g->parts) {
-        out.write_at(pos, p);
-        pos += p.size();
-      }
+      out = Buffer::concat(g->parts);
     }
     reply(OsdOpReply{Status::ok(), std::move(out), 0, {}, nullptr});
   };
@@ -1306,7 +1304,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       read_chunk_from_pool(
           s.chunk_oid, s.chunk_off, n,
           /*foreground=*/true,
-          [this, g, i, merge, oid, b, n, wbuf, woff](Result<Buffer> r) {
+          [this, g, i, merge, oid, b, n, wbuf, wbase, woff](Result<Buffer> r) {
             if (!r.is_ok()) {
               g->arrive(i, std::move(r));
               return;
@@ -1316,8 +1314,8 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
             Buffer part = std::move(r).value();
             part.resize(n);
             if (merge) overlay_local(oid, b, &part);
-            if (wbuf) {
-              wbuf->write_at(b - woff, part);
+            if (wbase != nullptr) {
+              std::memcpy(wbase + (b - woff), part.data(), n);
               g->arrive(i, Buffer());
             } else {
               g->arrive(i, std::move(part));
@@ -1328,7 +1326,7 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
       const uint64_t b = s.begin;
       const uint64_t n = s.end - s.begin;
       osd_->submit_read(pool_, oid, b, n,
-                        [g, i, b, n, wbuf, woff](Result<Buffer> r) {
+                        [g, i, b, n, wbuf, wbase, woff](Result<Buffer> r) {
                           if (!r.is_ok()) {
                             g->arrive(i, std::move(r));
                             return;
@@ -1339,8 +1337,8 @@ void DedupTier::handle_read_attempt(const OsdOp& op, ReplyFn reply,
                             // logical size: zeros by definition.
                             part.resize(n);
                           }
-                          if (wbuf) {
-                            wbuf->write_at(b - woff, part);
+                          if (wbase != nullptr) {
+                            std::memcpy(wbase + (b - woff), part.data(), n);
                             g->arrive(i, Buffer());
                           } else {
                             g->arrive(i, std::move(part));
@@ -2222,7 +2220,8 @@ void DedupTier::close_assembly_window(AssemblyWindow* w) {
     perf_->inc(l_tier_asm_wasted_refs, w->planned - w->consumed);
   }
   w->open = false;
-  w->buf.reset();
+  w->buf = Buffer();
+  w->base = nullptr;
   w->planned = 0;
   w->consumed = 0;
 }
@@ -2350,16 +2349,10 @@ void DedupTier::rewrite_object(const std::string& oid,
         (*step)();  // a slot vanished mid-read; skip this run
         return;
       }
-      size_t total = 0;
-      for (const auto& sl : run) total += sl.length;
-      Buffer content(total);
-      size_t pos = 0;
       for (size_t i = 0; i < run.size(); i++) {
-        Buffer p = std::move(g->parts[i]);
-        p.resize(run[i].length);  // short tail chunks zero-fill
-        content.write_at(pos, p);
-        pos += run[i].length;
+        g->parts[i].resize(run[i].length);  // short tail chunks zero-fill
       }
+      Buffer content = Buffer::concat(g->parts);
       fingerprint_async(
           content,
           [this, oid, run, content, step](const Fingerprint& fp) mutable {

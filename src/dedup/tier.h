@@ -307,10 +307,13 @@ class DedupTier : public TierService {
     uint64_t stamp = 0;       // map_mutation_stamp_ when planned
     uint64_t win_begin = 0;
     uint64_t win_end = 0;
-    // Assembled [win_begin, win_end) bytes.  Shared so in-flight read
-    // completions write into the same storage the window slices replies
-    // from (a by-value Buffer copy would detach on first write).
-    std::shared_ptr<Buffer> buf;
+    // Assembled [win_begin, win_end) bytes, allocated once at open with
+    // `base` its writable start.  In-flight completions copy landing parts
+    // through `base` (never through Buffer::write_at, which would detach
+    // and re-copy the whole window once a reply shares it) and hold a
+    // copy of `buf` to keep the storage alive; replies are slices of it.
+    Buffer buf;
+    uint8_t* base = nullptr;
     uint64_t planned = 0;     // refs planned into this window
     uint64_t consumed = 0;    // refs actually served from it
   };

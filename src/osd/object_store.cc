@@ -72,16 +72,21 @@ Buffer ExtentMap::read(uint64_t off, uint64_t len) const {
     return it->second.slice(off - it->first, len);
   }
 
-  Buffer out(len);  // zero-filled
+  // Every byte is written below: extent bytes are copied, holes zeroed.
+  Buffer out = Buffer::uninitialized(len);
   uint8_t* dst = out.mutable_data();
+  uint64_t cursor = off;  // first byte not yet written
   for (; it != extents_.end() && it->first < end; ++it) {
     const uint64_t estart = it->first;
     const uint64_t eend = estart + it->second.size();
     const uint64_t cs = std::max(off, estart);
     const uint64_t ce = std::min(end, eend);
     if (cs >= ce) continue;
+    if (cs > cursor) std::memset(dst + (cursor - off), 0, cs - cursor);
     std::memcpy(dst + (cs - off), it->second.data() + (cs - estart), ce - cs);
+    cursor = ce;
   }
+  if (end > cursor) std::memset(dst + (cursor - off), 0, end - cursor);
   return out;
 }
 
@@ -225,27 +230,47 @@ Status ObjectStore::apply_to_state(const Transaction& txn, const ObjectKey& key,
 
 Status ObjectStore::apply(const Transaction& txn) {
   MaybeUniqueLock g(mu_);
+  // One slot per distinct object the transaction names, each resolved in
+  // the index once.  Transactions name one to a few objects, so a linear
+  // table beats any map.
+  struct Slot {
+    const ObjectKey* key;
+    ObjectState* st;  // live object, nullptr while absent
+    bool exists;      // liveness as the ops seen so far leave it
+    bool touched;     // a non-remove op hit it in the mutation pass
+  };
+  std::vector<Slot> slots;
+  auto slot_of = [&slots](const ObjectKey& k) -> Slot* {
+    for (Slot& s : slots) {
+      if (*s.key == k) return &s;
+    }
+    return nullptr;
+  };
+
   // Validation pass: the only failable ops reference missing objects.
-  // Track objects the transaction itself creates so create-then-write in
-  // one transaction validates.
-  std::map<ObjectKey, bool> will_exist;
+  // Liveness is tracked per slot so create-then-write in one transaction
+  // validates.  Nothing is inserted, so a failure leaves the store as it
+  // was.
   for (const auto& op : txn.ops()) {
-    auto it = will_exist.find(op.key);
-    bool ex =
-        it != will_exist.end() ? it->second : objects_.count(op.key) > 0;
+    Slot* slot = slot_of(op.key);
+    if (slot == nullptr) {
+      auto it = objects_.find(op.key);
+      ObjectState* st = it == objects_.end() ? nullptr : &it->second;
+      slot = &slots.emplace_back(Slot{&op.key, st, st != nullptr, false});
+    }
     switch (op.type) {
       case Transaction::OpType::kCreate:
       case Transaction::OpType::kWrite:
       case Transaction::OpType::kWriteFull:
       case Transaction::OpType::kSetXattr:
       case Transaction::OpType::kOmapSet:
-        ex = true;
+        slot->exists = true;
         break;
       case Transaction::OpType::kTruncate:
       case Transaction::OpType::kPunchHole:
       case Transaction::OpType::kRmXattr:
       case Transaction::OpType::kOmapRm:
-        if (!ex) {
+        if (!slot->exists) {
           return Status::not_found("txn references missing " + op.key.oid +
                                    " (op " +
                                    std::to_string(static_cast<int>(op.type)) +
@@ -253,19 +278,29 @@ Status ObjectStore::apply(const Transaction& txn) {
         }
         break;
       case Transaction::OpType::kRemove:
-        if (!ex) return Status::not_found("txn removes missing " + op.key.oid);
-        ex = false;
+        if (!slot->exists) {
+          return Status::not_found("txn removes missing " + op.key.oid);
+        }
+        slot->exists = false;
         break;
     }
-    will_exist[op.key] = ex;
   }
 
   // Mutation pass (cannot fail).
-  std::map<ObjectKey, bool> touched_exists;
   for (const auto& op : txn.ops()) {
-    ObjectState& st = objects_[op.key];  // creates placeholder if absent
+    Slot& slot = *slot_of(op.key);
+    if (op.type == Transaction::OpType::kRemove) {
+      objects_.erase(op.key);
+      slot.st = nullptr;
+      slot.touched = false;
+      continue;
+    }
+    if (slot.st == nullptr) slot.st = &objects_[op.key];
+    ObjectState& st = *slot.st;
+    slot.touched = true;
     switch (op.type) {
       case Transaction::OpType::kCreate:
+      case Transaction::OpType::kRemove:  // handled above
         break;
       case Transaction::OpType::kWrite:
         st.data.write(op.off, op.data);
@@ -283,10 +318,6 @@ Status ObjectStore::apply(const Transaction& txn) {
       case Transaction::OpType::kPunchHole:
         st.data.punch_hole(op.off, op.len);
         break;
-      case Transaction::OpType::kRemove:
-        objects_.erase(op.key);
-        touched_exists[op.key] = false;
-        continue;
       case Transaction::OpType::kSetXattr:
         st.xattrs[op.name] = op.data;
         break;
@@ -300,14 +331,10 @@ Status ObjectStore::apply(const Transaction& txn) {
         st.omap.erase(op.name);
         break;
     }
-    touched_exists[op.key] = true;
   }
   // Bump versions once per touched live object.
-  for (const auto& [key, alive] : touched_exists) {
-    if (alive) {
-      auto it = objects_.find(key);
-      if (it != objects_.end()) it->second.version++;
-    }
+  for (const Slot& slot : slots) {
+    if (slot.touched) slot.st->version++;
   }
   return Status::ok();
 }
@@ -405,6 +432,7 @@ std::vector<ObjectKey> ObjectStore::list(PoolId pool) const {
   for (const auto& [key, st] : objects_) {
     if (key.pool == pool) out.push_back(key);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -413,6 +441,7 @@ std::vector<ObjectKey> ObjectStore::list_all() const {
   std::vector<ObjectKey> out;
   out.reserve(objects_.size());
   for (const auto& [key, st] : objects_) out.push_back(key);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include <map>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/buffer.h"
@@ -43,6 +44,20 @@ struct ObjectKey {
     return pool == o.pool && oid == o.oid;
   }
 };
+
+struct ObjectKeyHash {
+  size_t operator()(const ObjectKey& k) const noexcept {
+    size_t h = std::hash<std::string>{}(k.oid);
+    return h * 0x9e3779b97f4a7c15ULL + static_cast<size_t>(k.pool);
+  }
+};
+
+}  // namespace gdedup
+
+template <>
+struct std::hash<gdedup::ObjectKey> : gdedup::ObjectKeyHash {};
+
+namespace gdedup {
 
 // Sparse object data: non-overlapping extents keyed by offset.
 class ExtentMap {
@@ -172,6 +187,7 @@ class ObjectStore {
   void install(const ObjectKey& k, ObjectState state);
   Status remove_object(const ObjectKey& k);
 
+  // Keys in ObjectKey order (pool, then oid), whatever the index order.
   std::vector<ObjectKey> list(PoolId pool) const;
   std::vector<ObjectKey> list_all() const;
 
@@ -197,8 +213,11 @@ class ObjectStore {
   // serial execution).  Field-level read/write races on one object are
   // excluded by protocol order: all cross-node access to an object's
   // contents flows through its primary OSD (DESIGN.md §9).
+  // Hashed: lookups never walk a tree, and element references stay valid
+  // across inserts (find() hands them out).  Unordered, so every listing
+  // sorts its output.
   mutable std::shared_mutex mu_;
-  std::map<ObjectKey, ObjectState> objects_;
+  std::unordered_map<ObjectKey, ObjectState, ObjectKeyHash> objects_;
 };
 
 }  // namespace gdedup

@@ -1,6 +1,7 @@
 #include "rados/client.h"
 
 #include <cassert>
+#include <vector>
 
 #include "obs/op_tracker.h"
 
@@ -227,15 +228,26 @@ void BlockDevice::write(uint64_t off, Buffer data,
 void BlockDevice::read(uint64_t off, uint64_t len,
                        std::function<void(Result<Buffer>)> cb) {
   assert(off + len <= size_);
+  // One part per object the range touches.  A single part is the result
+  // as it arrives; several are concatenated once, with no zeroed staging
+  // buffer.
   struct State {
-    Buffer out;
+    std::vector<Buffer> parts;
     int outstanding = 0;
     Status worst;
     std::function<void(Result<Buffer>)> cb;
   };
   auto st = std::make_shared<State>();
-  st->out.resize(len);
   st->cb = std::move(cb);
+  auto finish = [](State& s) {
+    if (!s.worst.is_ok()) {
+      s.cb(s.worst);
+    } else if (s.parts.size() == 1) {
+      s.cb(std::move(s.parts[0]));
+    } else {
+      s.cb(Buffer::concat(s.parts));
+    }
+  };
 
   uint64_t pos = 0;
   st->outstanding = 1;  // sentinel
@@ -243,35 +255,25 @@ void BlockDevice::read(uint64_t off, uint64_t len,
     const uint64_t abs = off + pos;
     const uint64_t obj_off = abs % object_size_;
     const uint64_t n = std::min<uint64_t>(object_size_ - obj_off, len - pos);
+    const size_t i = st->parts.size();
+    st->parts.emplace_back();
     st->outstanding++;
-    const uint64_t dst = pos;
     client_->read(pool_, object_for(abs), obj_off, n,
-                  [st, dst, n](Result<Buffer> r) {
+                  [st, i, n, finish](Result<Buffer> r) {
+                    Buffer& part = st->parts[i];
                     if (r.is_ok()) {
-                      Buffer b = std::move(r).value();
-                      b.resize(n);  // short reads (holes) zero-fill
-                      st->out.write_at(dst, b);
-                    } else if (st->worst.is_ok() &&
-                               r.status().code() != Code::kNotFound) {
+                      part = std::move(r).value();
+                      part.resize(n);  // short reads (holes) zero-fill
+                    } else if (r.status().code() == Code::kNotFound) {
+                      part = Buffer(n);  // never written: zeros
+                    } else if (st->worst.is_ok()) {
                       st->worst = r.status();
                     }
-                    if (--st->outstanding == 0) {
-                      if (st->worst.is_ok()) {
-                        st->cb(std::move(st->out));
-                      } else {
-                        st->cb(st->worst);
-                      }
-                    }
+                    if (--st->outstanding == 0) finish(*st);
                   });
     pos += n;
   }
-  if (--st->outstanding == 0) {
-    if (st->worst.is_ok()) {
-      st->cb(std::move(st->out));
-    } else {
-      st->cb(st->worst);
-    }
-  }
+  if (--st->outstanding == 0) finish(*st);
 }
 
 }  // namespace gdedup

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <vector>
+
 #include "common/random.h"
 
 namespace gdedup {
@@ -181,6 +185,119 @@ TEST(Buffer, ResizeBumpsGeneration) {
   const uint64_t g0 = a.generation();
   a.resize(8);
   EXPECT_NE(a.generation(), g0);
+}
+
+// The allocations below skip the zero fill, so each path must write every
+// byte it exposes.  Each test first frees a buffer of non-zero bytes the
+// same size, so malloc reuse would surface any byte left unwritten.
+
+constexpr size_t kN = 4096;
+
+Buffer pattern(size_t n, uint64_t seed) {
+  Buffer b(n);
+  Rng rng(seed);
+  rng.fill(b.mutable_data(), n);
+  return b;
+}
+
+void dirty_heap(size_t n) {
+  for (int i = 0; i < 4; i++) Buffer junk(n, 0xEE);
+}
+
+TEST(Buffer, UninitializedPathsCopyOfAndConcat) {
+  const Buffer a = pattern(kN, 1);
+  const Buffer b = pattern(kN / 2, 2);
+  dirty_heap(kN);
+  Buffer c = Buffer::copy_of(a.span());
+  EXPECT_TRUE(c.content_equals(a));
+  EXPECT_FALSE(c.shares_storage_with(a));
+
+  dirty_heap(kN + kN / 2);
+  Buffer ab = Buffer::concat(a, b);
+  ASSERT_EQ(ab.size(), kN + kN / 2);
+  EXPECT_TRUE(ab.slice(0, kN).content_equals(a));
+  EXPECT_TRUE(ab.slice(kN, kN / 2).content_equals(b));
+
+  const Buffer parts[] = {b, Buffer(), a, b.slice(7, 100)};
+  dirty_heap(2 * kN + 100);
+  Buffer all = Buffer::concat(parts);
+  ASSERT_EQ(all.size(), kN / 2 + kN + 100);
+  EXPECT_TRUE(all.slice(0, kN / 2).content_equals(b));
+  EXPECT_TRUE(all.slice(kN / 2, kN).content_equals(a));
+  EXPECT_TRUE(all.slice(kN / 2 + kN, 100).content_equals(b.slice(7, 100)));
+}
+
+TEST(Buffer, UninitializedPathsDetachOfSlice) {
+  const Buffer a = pattern(kN, 3);
+  Buffer s = a.slice(100, kN / 2);
+  dirty_heap(kN / 2);
+  s.mutable_data();  // detaches exactly the slice's bytes
+  EXPECT_FALSE(s.shares_storage_with(a));
+  ASSERT_EQ(s.size(), kN / 2);
+  EXPECT_EQ(std::memcmp(s.data(), a.data() + 100, kN / 2), 0);
+}
+
+TEST(Buffer, UninitializedPathsWriteAtGrowth) {
+  const Buffer a = pattern(kN, 4);
+  const Buffer src = pattern(kN / 4, 5);
+  // Growth past the end with a gap: the gap reads as zeros.  Grown both
+  // in place (sole owner) and while another buffer shares the storage.
+  for (bool shared : {false, true}) {
+    Buffer b = Buffer::copy_of(a.span());
+    const Buffer sharer = shared ? b : Buffer();
+    dirty_heap(2 * kN);
+    b.write_at(kN + 64, src);
+    ASSERT_EQ(b.size(), kN + 64 + kN / 4) << shared;
+    EXPECT_TRUE(b.slice(0, kN).content_equals(a)) << shared;
+    for (size_t i = kN; i < kN + 64; i++) ASSERT_EQ(b[i], 0) << i;
+    EXPECT_TRUE(b.slice(kN + 64, kN / 4).content_equals(src)) << shared;
+    if (shared) {
+      EXPECT_TRUE(sharer.content_equals(a));
+    }
+  }
+  // Growth straddling the end: no gap, the old head stays.
+  Buffer c = Buffer::copy_of(a.span());
+  c.write_at(kN - 10, src);
+  ASSERT_EQ(c.size(), kN - 10 + kN / 4);
+  EXPECT_TRUE(c.slice(0, kN - 10).content_equals(a.slice(0, kN - 10)));
+  EXPECT_TRUE(c.slice(kN - 10, kN / 4).content_equals(src));
+}
+
+TEST(Buffer, UninitializedPathsResizeGrowthZeroFillsTail) {
+  const Buffer a = pattern(kN, 6);
+  for (bool sliced : {false, true}) {
+    Buffer b = sliced ? a.slice(10, kN - 10) : Buffer::copy_of(a.span());
+    const size_t old = b.size();
+    dirty_heap(3 * kN);
+    b.resize(3 * kN);
+    ASSERT_EQ(b.size(), 3 * kN);
+    EXPECT_EQ(std::memcmp(b.data(), a.data() + (sliced ? 10 : 0), old), 0);
+    for (size_t i = old; i < b.size(); i++) ASSERT_EQ(b[i], 0) << i;
+  }
+}
+
+TEST(Buffer, UninitializedAllocationsGetUniqueGenerations) {
+  const Buffer a = pattern(kN, 7);
+  std::vector<Buffer> made;
+  made.push_back(Buffer::uninitialized(kN));
+  made.push_back(Buffer::copy_of(a.span()));
+  made.push_back(Buffer::concat(a, a));
+  Buffer detached = a.slice(1, 10);
+  detached.mutable_data();
+  made.push_back(detached);
+  Buffer grown = a;
+  grown.write_at(kN, a);
+  made.push_back(grown);
+  Buffer resized = a;
+  resized.resize(2 * kN);
+  made.push_back(resized);
+  std::set<uint64_t> gens = {a.generation()};
+  std::set<const void*> ids = {a.storage_id()};
+  for (const Buffer& b : made) {
+    EXPECT_NE(b.generation(), 0u);
+    EXPECT_TRUE(gens.insert(b.generation()).second);
+    EXPECT_TRUE(ids.insert(b.storage_id()).second);
+  }
 }
 
 TEST(Buffer, LargeRandomRoundTrip) {

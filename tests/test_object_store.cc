@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 
 namespace gdedup {
@@ -29,6 +32,38 @@ TEST(ExtentMap, HolesReadAsZeros) {
   EXPECT_EQ(r[2], 'x');
   EXPECT_EQ(r[3], 'y');
   EXPECT_EQ(r[4], 0);
+}
+
+TEST(ExtentMap, MultiExtentReadZeroesOnlyHoles) {
+  // The multi-extent read allocates without zero-filling and zeroes the
+  // holes itself: a leading, a middle and a trailing hole must all read
+  // as zeros, the extent bytes as written.  Leave some freed non-zero
+  // bytes on the heap first so an unwritten byte would show.
+  { Buffer junk(4096, 0xEE); }
+  ExtentMap em;
+  em.write(100, Buffer(50, 'a'));   // [100,150)
+  em.write(200, Buffer(100, 'b'));  // [200,300)
+  em.write(300, Buffer(20, 'c'));   // [300,320), abuts the previous one
+  Buffer r = em.read(64, 4000);     // holes [64,100) [150,200) [320,4064)
+  ASSERT_EQ(r.size(), 4000u);
+  for (uint64_t i = 0; i < r.size(); i++) {
+    const uint64_t at = 64 + i;
+    uint8_t want = 0;
+    if (at >= 100 && at < 150) want = 'a';
+    if (at >= 200 && at < 300) want = 'b';
+    if (at >= 300 && at < 320) want = 'c';
+    ASSERT_EQ(r[i], want) << "offset " << at;
+  }
+  // A range wholly inside a hole, and one starting mid-extent.
+  Buffer hole = em.read(160, 30);
+  for (size_t i = 0; i < hole.size(); i++) ASSERT_EQ(hole[i], 0) << i;
+  Buffer mid = em.read(140, 70);  // 10 'a', 50 zeros, 10 'b'
+  EXPECT_EQ(mid[0], 'a');
+  EXPECT_EQ(mid[9], 'a');
+  EXPECT_EQ(mid[10], 0);
+  EXPECT_EQ(mid[59], 0);
+  EXPECT_EQ(mid[60], 'b');
+  EXPECT_EQ(mid[69], 'b');
 }
 
 TEST(ExtentMap, OverwriteSplitsExtents) {
@@ -188,6 +223,109 @@ TEST(ObjectStore, CreateThenRemoveInOneTxn) {
   t.remove(key("tmp"));
   ASSERT_TRUE(st.apply(t).is_ok());
   EXPECT_FALSE(st.exists(key("tmp")));
+}
+
+TEST(ObjectStore, CreateRemoveWriteInOneTxn) {
+  // The object is erased mid-transaction and comes back fresh: only the
+  // last write's bytes survive, with one version bump from zero.
+  ObjectStore st;
+  Transaction t;
+  t.create(key("a"));
+  t.setxattr(key("a"), "old", Buffer::copy_of("x"));
+  t.remove(key("a"));
+  t.write(key("a"), 2, Buffer::copy_of("new"));
+  ASSERT_TRUE(st.apply(t).is_ok());
+  ASSERT_TRUE(st.exists(key("a")));
+  EXPECT_EQ(st.size(key("a")).value(), 5u);
+  const Buffer r = *st.read(key("a"), 0, 0);
+  EXPECT_EQ(r[0], 0);
+  EXPECT_EQ(r.slice(2, 3).view(), "new");
+  EXPECT_FALSE(st.getxattr(key("a"), "old").is_ok());
+  EXPECT_EQ(st.version(key("a")).value(), 1u);
+
+  // The same on an object that already existed: remove, then recreate.
+  Transaction t2;
+  t2.remove(key("a"));
+  t2.omap_set(key("a"), "k", Buffer::copy_of("v"));
+  ASSERT_TRUE(st.apply(t2).is_ok());
+  EXPECT_EQ(st.size(key("a")).value(), 0u);
+  EXPECT_EQ(st.omap_get(key("a"), "k")->view(), "v");
+  EXPECT_EQ(st.version(key("a")).value(), 1u);
+}
+
+TEST(ObjectStore, FailedValidationLeavesNoPlaceholder) {
+  ObjectStore st;
+  Transaction seed;
+  seed.write(key("live"), 0, Buffer::copy_of("keep"));
+  ASSERT_TRUE(st.apply(seed).is_ok());
+
+  // Ops on fresh keys come first; the failing op on a missing key last.
+  Transaction t;
+  t.setxattr(key("fresh"), "a", Buffer::copy_of("1"));
+  t.write(key("live"), 0, Buffer::copy_of("LOST"));
+  t.omap_rm(key("ghost"), "k");
+  EXPECT_FALSE(st.apply(t).is_ok());
+
+  EXPECT_FALSE(st.exists(key("fresh")));
+  EXPECT_FALSE(st.exists(key("ghost")));
+  EXPECT_EQ(st.list_all().size(), 1u);
+  EXPECT_EQ(st.read(key("live"), 0, 0)->view(), "keep");
+  EXPECT_EQ(st.version(key("live")).value(), 1u);
+
+  // Removing twice fails on the second remove and leaves the object.
+  Transaction t2;
+  t2.remove(key("live"));
+  t2.remove(key("live"));
+  EXPECT_FALSE(st.apply(t2).is_ok());
+  EXPECT_TRUE(st.exists(key("live")));
+}
+
+TEST(ObjectStore, VersionBumpsOncePerTouchedLiveObject) {
+  ObjectStore st;
+  Transaction seed;
+  seed.write(key("a"), 0, Buffer::copy_of("a"));
+  seed.write(key("b"), 0, Buffer::copy_of("b"));
+  seed.write(key("c"), 0, Buffer::copy_of("c"));
+  ASSERT_TRUE(st.apply(seed).is_ok());
+
+  // Interleaved ops on a and b, a removal of c; d is never named.
+  Transaction t;
+  t.write(key("a"), 1, Buffer::copy_of("x"));
+  t.setxattr(key("b"), "m", Buffer::copy_of("y"));
+  t.omap_set(key("a"), "k", Buffer::copy_of("z"));
+  t.remove(key("c"));
+  t.truncate(key("b"), 0);
+  t.punch_hole(key("a"), 0, 1);
+  ASSERT_TRUE(st.apply(t).is_ok());
+  EXPECT_EQ(st.version(key("a")).value(), 2u);
+  EXPECT_EQ(st.version(key("b")).value(), 2u);
+  EXPECT_FALSE(st.exists(key("c")));
+  EXPECT_FALSE(st.exists(key("d")));
+}
+
+TEST(ObjectStore, ListingsAreSortedWhateverTheInsertionOrder) {
+  ObjectStore st;
+  Rng rng(7);
+  std::vector<ObjectKey> keys;
+  for (int i = 0; i < 300; i++) {
+    keys.push_back({static_cast<PoolId>(rng.next() % 3),
+                    "obj." + std::to_string(rng.next() % 100000)});
+  }
+  for (const ObjectKey& k : keys) {
+    Transaction t;
+    t.create(k);
+    ASSERT_TRUE(st.apply(t).is_ok());
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  EXPECT_EQ(st.list_all(), keys);
+  for (PoolId pool = 0; pool < 3; pool++) {
+    std::vector<ObjectKey> want;
+    for (const ObjectKey& k : keys) {
+      if (k.pool == pool) want.push_back(k);
+    }
+    EXPECT_EQ(st.list(pool), want) << "pool " << pool;
+  }
 }
 
 TEST(ObjectStore, VersionBumpsOncePerTxn) {

@@ -166,6 +166,72 @@ TEST(RestoreRewrite, OffByDefaultNeverRewrites) {
   EXPECT_EQ(h.chunk_object_count(), 8u);
 }
 
+// --- Assembly window: zero-copy replies ---
+
+TEST(RestoreAssembly, OutOfOrderLandingsShareOneWindow) {
+  // A sequential restore from an EC chunk pool.  Three one-chunk reads
+  // establish the streak and the third opens a window over chunks
+  // [2, 18); the next reads are issued together, two chunks each, so
+  // their chunk replies land in whatever order the shards answer.  Every
+  // reply must carry the image's bytes, and the replies carved from the
+  // window must all share its one storage: a landing chunk never
+  // re-copies the window under replies already sent.
+  DedupHarness h(test_tier_config(), small_cluster_config(),
+                 RedundancyScheme::kErasure);
+  constexpr uint64_t kChunks = 20;
+  const Buffer image = random_buffer(kChunks * kChunk, 0x5eed);
+  ASSERT_TRUE(h.write("img", 0, image).is_ok());
+  ASSERT_TRUE(h.drain());
+  ASSERT_EQ(h.tier(l_tier_asm_window_opens), 0u);
+
+  std::vector<Buffer> windowed;
+  for (uint64_t c = 0; c < 3; c++) {
+    auto r = h.read("img", c * kChunk, kChunk);
+    ASSERT_TRUE(r.is_ok()) << c;
+    EXPECT_TRUE(r->content_equals(image.slice(c * kChunk, kChunk))) << c;
+    if (c == 2) windowed.push_back(std::move(r).value());
+  }
+  ASSERT_EQ(h.tier(l_tier_asm_window_opens), 1u);
+
+  struct Reply {
+    size_t issue = 0;
+    uint64_t off = 0;
+    Result<Buffer> r = Status::timed_out("never completed");
+  };
+  std::vector<Reply> replies;  // in completion order
+  size_t issued = 0;
+  for (uint64_t off = 3 * kChunk; off < 17 * kChunk; off += 2 * kChunk) {
+    const size_t idx = issued++;
+    h.client->read(h.meta, "img", off, 2 * kChunk,
+                   [&replies, idx, off](Result<Buffer> r) {
+                     replies.push_back({idx, off, std::move(r)});
+                   });
+  }
+  while (replies.size() < issued && h.cluster->sched().step()) {
+  }
+  ASSERT_EQ(replies.size(), issued);
+  bool out_of_order = false;
+  for (size_t i = 0; i < replies.size(); i++) {
+    if (replies[i].issue != i) out_of_order = true;
+    ASSERT_TRUE(replies[i].r.is_ok()) << replies[i].off;
+    EXPECT_TRUE(replies[i].r->content_equals(
+        image.slice(replies[i].off, 2 * kChunk)))
+        << "read @" << replies[i].off;
+    windowed.push_back(std::move(replies[i].r).value());
+  }
+  EXPECT_TRUE(out_of_order) << "replies completed in issue order";
+  auto last = h.read("img", 17 * kChunk, kChunk);
+  ASSERT_TRUE(last.is_ok());
+  EXPECT_TRUE(last->content_equals(image.slice(17 * kChunk, kChunk)));
+  windowed.push_back(std::move(last).value());
+
+  EXPECT_EQ(h.tier(l_tier_asm_window_opens), 1u);
+  EXPECT_EQ(h.tier(l_tier_asm_hits), 16u);  // chunks 2..17
+  for (size_t i = 1; i < windowed.size(); i++) {
+    EXPECT_TRUE(windowed[i].shares_storage_with(windowed[0])) << i;
+  }
+}
+
 // --- Determinism: assembly cache neutrality + frozen rewrite digest ---
 
 struct RestoreDigest {
